@@ -12,16 +12,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import ng_metrics
-from .fock_core import TwoModeState, lossy_subtracted_state
-from .harness import (ExperimentConfig, build_rig, delay_scan, load_config,
+from .fock_core import TwoModeState
+from .harness import (ExperimentConfig, analyze_classes, build_rig,
+                      delay_scan, expected_states, load_config,
                       run_acquisition, run_delay_calibration, run_experiment,
                       throughput_benchmark)
-from .harness.experiment import records_to_dataset
-from .pso import read_records
-from .tomography import reconstruct
+from .pso import read_class
 
 
 def _load_cfg(path) -> ExperimentConfig:
@@ -57,32 +54,18 @@ def cmd_acquire(args):
 def cmd_reconstruct(args):
     cfg = _load_cfg(args.config)
     meta = json.load(open(os.path.join(args.datasets, "run_meta.txt")))
-    scales = meta["shot_noise_scale"]
     cls = tuple(int(x) for x in args.cls.split(","))
-    parts = []
-    idx = 0
-    while True:
-        path = os.path.join(args.datasets,
-                            f"sig_{cls[0]}_{cls[1]}.part{idx:03d}.bin")
-        if not os.path.exists(path):
-            break
-        parts.append(read_records(path))
-        idx += 1
-    if not parts:
+    records = read_class(args.datasets, cls)[:args.limit]
+    if not records.size:
         print(f"no dataset files for class {cls}", file=sys.stderr)
         return 1
-    records = np.concatenate(parts)
-    rig = build_rig(cfg)
-    data = records_to_dataset(records, scales[0], scales[1], rig.generator,
-                              cfg.n_c, limit=args.limit)
-    rep = reconstruct(data, max_iterations=cfg.max_iterations,
-                      epsilon=cfg.epsilon)
-    expected = lossy_subtracted_state(cfg.model(*cls), cfg.n_c)
-    fid = ng_metrics.uhlmann_fidelity(rep.rho, expected)
-    en = ng_metrics.log_negativity(rep.rho)
-    print(f"class {cls}: {data.size} records, {rep.iterations} iterations, "
-          f"converged {rep.converged}")
-    print(f"F(vs expected) {fid:.4f}  E_N {en:.4f}")
+    res = analyze_classes({cls: records}, meta["shot_noise_scale"], cfg,
+                          expected_states(cfg, [cls]))[cls]
+    rep = res.report
+    print(f"class {cls}: {res.data.size} records, {rep.iterations} "
+          f"iterations, converged {rep.converged}")
+    print(f"F(vs expected) {res.fidelities[cls]:.4f}  "
+          f"E_N {res.log_negativity:.4f}")
     if args.out:
         rep.rho.save(args.out)
         print(f"state written to {args.out}")

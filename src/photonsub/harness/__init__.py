@@ -4,8 +4,9 @@ from .calibration import (CalibrationFailedError, CalibrationResult,
                           analyze_correlation, cross_correlate,
                           thermal_calibration)
 from .config import ExperimentConfig, load_config, save_config
-from .experiment import (DelayScanRow, ExperimentReport, Rig, build_rig,
-                         delay_scan, records_to_dataset, run_acquisition,
+from .experiment import (DelayScanRow, ExperimentReport, Rig,
+                         analyze_classes, build_rig, delay_scan,
+                         expected_states, run_acquisition,
                          run_delay_calibration, run_experiment,
                          throughput_benchmark)
 from .generator import HeraldPlan, StreamGenerator
@@ -17,5 +18,5 @@ __all__ = [
     "cross_correlate", "analyze_correlation",
     "Rig", "build_rig", "run_delay_calibration", "run_acquisition",
     "run_experiment", "delay_scan", "throughput_benchmark",
-    "records_to_dataset", "ExperimentReport", "DelayScanRow",
+    "analyze_classes", "expected_states", "ExperimentReport", "DelayScanRow",
 ]

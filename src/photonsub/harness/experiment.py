@@ -21,10 +21,11 @@ from ..fock_core import lossy_subtracted_state
 from ..hds import HdsClient, HomodyneServer, InProcessTransport
 from ..pso import (DatasetWriter, PsoConsole, PsoEngine, PsoRunConfig,
                    coincidence_pipeline)
-from ..tomography import TomographyDataset, reconstruct, rolling_variance
+from ..tomography import (ReconstructionReport, TomographyDataset,
+                          reconstruct, rolling_variance)
 from .calibration import thermal_calibration
 from .config import ExperimentConfig
-from .generator import StreamGenerator, _rng
+from .generator import StreamGenerator, _rng, phase_drives
 
 _STREAM_SHOT = 21
 _STREAM_ZERO = 22
@@ -114,25 +115,58 @@ class ExperimentReport:
     witness_measured: ng_metrics.WitnessResult
     witness_expected: ng_metrics.WitnessResult
     iterations: dict
+    converged: dict
+    final_bound: dict
     conservation_ok: bool
     class_counts: dict
     run_dir: str = ""
-    rolling: dict = field(default_factory=dict, repr=False)
     states: dict = field(default_factory=dict, repr=False)
 
 
-def records_to_dataset(records, scale_a: float, scale_b: float,
-                       generator: StreamGenerator, n_c: int,
-                       limit: int | None = None) -> TomographyDataset:
-    """Map acquisition records to calibrated quadratures and phases."""
-    if limit is not None:
-        records = records[:limit]
-    adc = records["adc"].astype(np.float64)
-    x1 = adc[:, 0] / scale_a
-    x2 = adc[:, 2] / scale_b
-    th1 = generator.drive_a.theta_from_code(adc[:, 1])
-    th2 = generator.drive_b.theta_from_code(adc[:, 3])
-    return TomographyDataset(x1, x2, th1, th2, n_c=n_c)
+def expected_states(config: ExperimentConfig, classes=((0, 0), (1, 1))):
+    """{class: the lossy subtracted state its heralds should produce}."""
+    return {cls: lossy_subtracted_state(config.model(*cls), config.n_c)
+            for cls in classes}
+
+
+@dataclass
+class ClassAnalysis:
+    data: TomographyDataset
+    report: ReconstructionReport
+    log_negativity: float
+    fidelities: dict            # expected class -> F(reconstruction, it)
+
+
+def analyze_classes(class_records: dict, scales, config: ExperimentConfig,
+                    expected: dict) -> dict:
+    """Map each class's records to calibrated quadratures and phases,
+    reconstruct them with the config's iteration cap and epsilon, and
+    compare with every expected state.  Returns {class: ClassAnalysis}."""
+    drive_a, drive_b = phase_drives(config)
+    out = {}
+    for cls, records in class_records.items():
+        adc = records["adc"].astype(np.float64)
+        data = TomographyDataset(adc[:, 0] / scales[0], adc[:, 2] / scales[1],
+                                 drive_a.theta_from_code(adc[:, 1]),
+                                 drive_b.theta_from_code(adc[:, 3]),
+                                 n_c=config.n_c)
+        rep = reconstruct(data, max_iterations=config.max_iterations,
+                          epsilon=config.epsilon)
+        out[cls] = ClassAnalysis(
+            data, rep, ng_metrics.log_negativity(rep.rho),
+            {ecls: ng_metrics.uhlmann_fidelity(rep.rho, estate)
+             for ecls, estate in expected.items()})
+    return out
+
+
+def _label(cls) -> str:
+    return f"{cls[0]}{cls[1]}"
+
+
+def _fidelity_table(results: dict) -> dict:
+    return {f"rec{_label(cls)}_vs_exp{_label(ecls)}": f
+            for cls, res in results.items()
+            for ecls, f in res.fidelities.items()}
 
 
 def run_acquisition(rig: Rig, delays, run_dir, max_epochs: int = 64):
@@ -193,64 +227,44 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
                             "shot_noise_scale": list(scales)})
     engine.save_heralds(os.path.join(out_dir, "heralds.bin"))
 
-    expected = {
-        (0, 0): lossy_subtracted_state(config.model(0, 0), config.n_c),
-        (1, 1): lossy_subtracted_state(config.model(1, 1), config.n_c),
-    }
-    recs = {}
-    reports = {}
-    for cls in ((0, 0), (1, 1)):
-        raw = engine.writer.load_class(cls)
-        limit = config.class_targets.get(cls)
-        data = records_to_dataset(raw, scales[0], scales[1], rig.generator,
-                                  config.n_c, limit=limit)
-        rep = reconstruct(data, max_iterations=config.max_iterations,
-                          epsilon=config.epsilon)
-        recs[cls] = rep.rho
-        reports[cls] = rep
+    expected = expected_states(config)
+    results = analyze_classes(
+        {cls: engine.writer.load_class(cls) for cls in expected},
+        scales, config, expected)
+    for cls, res in results.items():
         # rolling variance of the summed joint quadrature, sorted by the
         # joint phase (window 500, shrunk for small desk runs)
-        phase, var = rolling_variance(data,
-                                      window=min(500, max(2, data.size // 2)))
-        _write_rolling(os.path.join(out_dir, f"rolling_{cls[0]}{cls[1]}.csv"),
-                       phase, var)
+        phase, var = rolling_variance(
+            res.data, window=min(500, max(2, res.data.size // 2)))
+        np.savetxt(os.path.join(out_dir, f"rolling_{_label(cls)}.csv"),
+                   np.column_stack([phase, var]), fmt=("%.6f", "%.8f"),
+                   delimiter=",", header="joint_phase_rad,variance",
+                   comments="")
 
-    fid = {}
-    for mcls, mstate in recs.items():
-        for ecls, estate in expected.items():
-            fid[f"rec{mcls[0]}{mcls[1]}_vs_exp{ecls[0]}{ecls[1]}"] = \
-                ng_metrics.uhlmann_fidelity(mstate, estate)
-    en = {
-        "rec00": ng_metrics.log_negativity(recs[(0, 0)]),
-        "rec11": ng_metrics.log_negativity(recs[(1, 1)]),
-        "exp00": ng_metrics.log_negativity(expected[(0, 0)]),
-        "exp11": ng_metrics.log_negativity(expected[(1, 1)]),
-    }
+    reps = {_label(cls): res.report for cls, res in results.items()}
+    exps = {f"exp{_label(cls)}": st for cls, st in expected.items()}
     report = ExperimentReport(
         config=config,
         delays=delays,
         calibration=cal,
         shot_noise_scale=scales,
-        fidelities=fid,
-        log_negativities=en,
-        witness_measured=ng_metrics.witness(recs[(1, 1)]),
-        witness_expected=ng_metrics.witness(expected[(1, 1)]),
-        iterations={f"{k[0]}{k[1]}": reports[k].iterations for k in reports},
+        fidelities=_fidelity_table(results),
+        log_negativities={
+            **{f"rec{_label(c)}": r.log_negativity
+               for c, r in results.items()},
+            **{k: ng_metrics.log_negativity(st) for k, st in exps.items()}},
+        witness_measured=ng_metrics.witness(reps["11"].rho),
+        witness_expected=ng_metrics.witness(exps["exp11"]),
+        iterations={k: r.iterations for k, r in reps.items()},
+        converged={k: r.converged for k, r in reps.items()},
+        final_bound={k: r.final_bound for k, r in reps.items()},
         conservation_ok=engine.report.conservation_holds(),
         class_counts=dict(engine.report.class_counts),
         run_dir=str(out_dir),
-        states={"rec00": recs[(0, 0)], "rec11": recs[(1, 1)],
-                "exp00": expected[(0, 0)], "exp11": expected[(1, 1)]},
+        states={**{f"rec{k}": r.rho for k, r in reps.items()}, **exps},
     )
     _write_report(out_dir, report, engine)
     return report
-
-
-def _write_rolling(path, phase, var):
-    with open(path, "w") as fh:
-        fh.write("joint_phase_rad,variance\n")
-        for p, v in zip(phase, var):
-            fh.write(f"{p:.6f},{v:.8f}\n")
 
 
 def _write_report(out_dir, report: ExperimentReport, engine):
@@ -264,6 +278,8 @@ def _write_report(out_dir, report: ExperimentReport, engine):
         "witness_measured": report.witness_measured.rank_class.value,
         "witness_expected": report.witness_expected.rank_class.value,
         "iterations": report.iterations,
+        "converged": report.converged,
+        "final_bound": report.final_bound,
         "conservation_ok": report.conservation_ok,
         "class_counts": {f"{k[0]},{k[1]}": v
                          for k, v in report.class_counts.items()},
@@ -291,6 +307,7 @@ class DelayScanRow:
     log_negativity_00: float
     log_negativity_11: float
     fid: dict
+    converged: dict
 
 
 def delay_scan(config: ExperimentConfig, offsets, out_dir,
@@ -299,39 +316,27 @@ def delay_scan(config: ExperimentConfig, offsets, out_dir,
     calibrated point; one shared ingest pass feeds every offset."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = config.with_overrides(class_targets={(1, 1): scan_targets,
-                                               (0, 0): scan_targets})
+                                               (0, 0): scan_targets},
+                                max_iterations=max_iterations)
     rig = build_rig(cfg)
     delays, _ = run_delay_calibration(rig)
 
-    expected = {
-        (0, 0): lossy_subtracted_state(cfg.model(0, 0), cfg.n_c),
-        (1, 1): lossy_subtracted_state(cfg.model(1, 1), cfg.n_c),
-    }
+    expected = expected_states(cfg)
     rows = []
-    scales = None
     for i, j in offsets:
         engine, sc = run_acquisition(
             rig, (delays[0] + i, delays[1] + j),
             os.path.join(out_dir, f"scan_{i}_{j}"), max_epochs=6)
-        scales = scales or sc
-        fid = {}
-        en = {}
-        for cls in ((0, 0), (1, 1)):
-            raw = engine.writer.load_class(cls)
-            data = records_to_dataset(raw, sc[0], sc[1], rig.generator,
-                                      cfg.n_c, limit=scan_targets)
-            import warnings as _w
-            with _w.catch_warnings():
-                _w.simplefilter("ignore")
-                rep = reconstruct(data, max_iterations=max_iterations,
-                                  epsilon=cfg.epsilon)
-            en[cls] = ng_metrics.log_negativity(rep.rho)
-            for ecls, estate in expected.items():
-                fid[f"rec{cls[0]}{cls[1]}_vs_exp{ecls[0]}{ecls[1]}"] = \
-                    ng_metrics.uhlmann_fidelity(rep.rho, estate)
-        rows.append(DelayScanRow(offset=(i, j),
-                                 log_negativity_00=en[(0, 0)],
-                                 log_negativity_11=en[(1, 1)], fid=fid))
+        results = analyze_classes(
+            {cls: engine.writer.load_class(cls) for cls in expected},
+            sc, cfg, expected)
+        rows.append(DelayScanRow(
+            offset=(i, j),
+            log_negativity_00=results[(0, 0)].log_negativity,
+            log_negativity_11=results[(1, 1)].log_negativity,
+            fid=_fidelity_table(results),
+            converged={_label(k): r.report.converged
+                       for k, r in results.items()}))
     _write_scan_table(os.path.join(out_dir, "delay_scan.txt"), rows)
     return rows
 
@@ -339,13 +344,14 @@ def delay_scan(config: ExperimentConfig, offsets, out_dir,
 def _write_scan_table(path, rows):
     with open(path, "w") as fh:
         fh.write("# D(i,j)  E_N(00)  E_N(11)  F(r00,E00) F(r00,E11) "
-                 "F(r11,E00) F(r11,E11)\n")
+                 "F(r11,E00) F(r11,E11) converged(00) converged(11)\n")
         for r in rows:
             fh.write(
                 f"D({r.offset[0]},{r.offset[1]}) "
                 f"{r.log_negativity_00:.4f} {r.log_negativity_11:.4f} "
                 f"{r.fid['rec00_vs_exp00']:.4f} {r.fid['rec00_vs_exp11']:.4f} "
-                f"{r.fid['rec11_vs_exp00']:.4f} {r.fid['rec11_vs_exp11']:.4f}\n")
+                f"{r.fid['rec11_vs_exp00']:.4f} {r.fid['rec11_vs_exp11']:.4f} "
+                f"{int(r.converged['00'])} {int(r.converged['11'])}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +382,7 @@ def throughput_benchmark(duration_s: float = 10.0, pages: int = 2048,
         rng = np.random.default_rng(seed)
         stride = max(half // events_per_half, 8)
         base_coarse = np.arange(16, half - 16, stride)
-        code = np.zeros(half, dtype=np.int64)
-        code[:] = 1000
+        code = np.full(half, 1000, dtype=np.int64)
         drive = np.zeros(half, dtype=np.int64)
         t0 = time.perf_counter()
         processed = 0

@@ -52,13 +52,16 @@ class HeraldPlan:
     detector_tree_idx: np.ndarray = field(default=None)
 
 
+def phase_drives(config: ExperimentConfig):
+    """The (mode A, mode B) LO phase drives of a configuration."""
+    return tuple(PhaseDrive(hz, reset_fraction=config.reset_fraction)
+                 for hz in (config.drive_a_hz, config.drive_b_hz))
+
+
 class StreamGenerator:
     def __init__(self, config: ExperimentConfig):
         self.config = config.validate()
-        self.drive_a = PhaseDrive(config.drive_a_hz,
-                                  reset_fraction=config.reset_fraction)
-        self.drive_b = PhaseDrive(config.drive_b_hz,
-                                  reset_fraction=config.reset_fraction)
+        self.drive_a, self.drive_b = phase_drives(config)
         lam = config.model(0, 0).effective_squeezing
         self._lam = lam
         self._nbar = lam * lam / (1.0 - lam * lam)
@@ -68,6 +71,7 @@ class StreamGenerator:
                          / (1.0 - lam * lam))
         self._class_table = self._build_class_table()
         self._samplers: dict = {}
+        self._z_last: dict = {}     # stream -> (chunk index, normals)
 
     # ------------------------------------------------------------------
     def _build_class_table(self):
@@ -194,30 +198,32 @@ class StreamGenerator:
     def _z_stream(self, stream: int, tau_lo: int, tau_hi: int) -> np.ndarray:
         """Chunk-keyed standard normals over mode-time indices; negative
         indices (pre-run tail shorter than a delay) stay reproducible."""
-        cfg = self.config
         out = np.empty(tau_hi - tau_lo)
         pos = 0
         for c in range(tau_lo // CHUNK, (tau_hi - 1) // CHUNK + 1):
-            z = _rng(cfg.seed, stream, c + (1 << 32)).standard_normal(CHUNK)
+            # consecutive windows share a boundary chunk: keep each
+            # stream's last chunk instead of drawing it twice
+            if self._z_last.get(stream, (None,))[0] != c:
+                self._z_last[stream] = (c, _rng(
+                    self.config.seed, stream, c + (1 << 32)).standard_normal(CHUNK))
+            z = self._z_last[stream][1]
             a0 = max(tau_lo, c * CHUNK)
             a1 = min(tau_hi, (c + 1) * CHUNK)
             out[pos:pos + a1 - a0] = z[a0 - c * CHUNK:a1 - c * CHUNK]
             pos += a1 - a0
         return out
 
-    def background_pair(self, tau_lo: int, tau_hi: int, channel: str = "both"):
+    def background_pair(self, tau_lo: int, tau_hi: int):
         """Correlated no-subtraction quadrature pair per mode time tau.
 
         Mode time tau indexes the shared temporal mode: server A sees the
         pair member at global time tau + true_delay_a, server B at
-        tau + true_delay_b.  channel selects which member(s) to evaluate;
-        chunk-keyed Philox streams make any sub-range reproducible.
+        tau + true_delay_b.  Chunk-keyed Philox streams make any sub-range
+        reproducible.
         """
         cfg = self.config
         z1 = self._z_stream(_STREAM_Z1, tau_lo, tau_hi)
         x_a = self._sig_a * z1
-        if channel == "a":
-            return x_a
         tau = np.arange(tau_lo, tau_hi)
         th1 = self.drive_a.evaluate(tau + cfg.true_delay_a)[0]
         th2 = self.drive_b.evaluate(tau + cfg.true_delay_b)[0]
@@ -225,8 +231,6 @@ class StreamGenerator:
         rho_c = cov / (self._sig_a * self._sig_b)
         z2 = self._z_stream(_STREAM_Z2, tau_lo, tau_hi)
         x_b = self._sig_b * (rho_c * z1 + np.sqrt(1.0 - rho_c ** 2) * z2)
-        if channel == "b":
-            return x_b
         return x_a, x_b
 
     def to_codes(self, x) -> np.ndarray:
@@ -259,26 +263,25 @@ class StreamGenerator:
             c_hi = min(c_lo + CHUNK, hi)
             t = np.arange(c_lo, c_hi)
             # each channel carries its mode-time stream shifted by its own
-            # path delay, so samples pair up at equal mode time
-            xa = self.background_pair(c_lo - cfg.true_delay_a,
-                                      c_hi - cfg.true_delay_a, channel="a")
-            xb = self.background_pair(c_lo - cfg.true_delay_b,
-                                      c_hi - cfg.true_delay_b, channel="b")
-            # shutter-closed vacuum at the start of the run
+            # path delay, so samples pair up at equal mode time; one pair
+            # over the union of both mode-time windows serves both
+            tau_lo = c_lo - max(cfg.true_delay_a, cfg.true_delay_b)
+            tau_hi = c_hi - min(cfg.true_delay_a, cfg.true_delay_b)
+            xa, xb = self.background_pair(tau_lo, tau_hi)
+            xa = xa[c_lo - cfg.true_delay_a - tau_lo:][:c_hi - c_lo]
+            xb = xb[c_lo - cfg.true_delay_b - tau_lo:][:c_hi - c_lo]
             shut = t < cfg.shutter_bins
-            if np.any(shut):
-                va = _rng(cfg.seed, _STREAM_VACUUM_A, c_lo)
-                vb = _rng(cfg.seed, _STREAM_VACUUM_B, c_lo)
-                xa[shut] = np.sqrt(0.5) * va.standard_normal(int(shut.sum()))
-                xb[shut] = np.sqrt(0.5) * vb.standard_normal(int(shut.sum()))
-            for pos, vals, x in ((pos_a, hx1, xa), (pos_b, hx2, xb)):
+            for x, vacuum, pos, vals, drive, server in (
+                    (xa, _STREAM_VACUUM_A, pos_a, hx1, self.drive_a, server_a),
+                    (xb, _STREAM_VACUUM_B, pos_b, hx2, self.drive_b, server_b)):
+                # shutter-closed vacuum at the start of the run
+                if np.any(shut):
+                    x[shut] = np.sqrt(0.5) * _rng(cfg.seed, vacuum, c_lo) \
+                        .standard_normal(int(shut.sum()))
                 sel = (pos >= c_lo) & (pos < c_hi) & ~dark
                 if np.any(sel):
                     x[pos[sel] - c_lo] = vals[sel]
-            code_a_drive = self.drive_a.evaluate(t)[1]
-            code_b_drive = self.drive_b.evaluate(t)[1]
-            server_a.ingest_samples(self.to_codes(xa), code_a_drive)
-            server_b.ingest_samples(self.to_codes(xb), code_b_drive)
+                server.ingest_samples(self.to_codes(x), drive.evaluate(t)[1])
 
     # ------------------------------------------------------------------
     # thermal delay calibration streams

@@ -30,6 +30,7 @@ from .words import WORD_DTYPE
 
 KEYWORD = 0x48445351
 
+REQUEST_HEADER_WORDS = 2
 RESPONSE_HEADER_WORDS = 4
 
 
@@ -121,12 +122,16 @@ def frame_message(words: np.ndarray) -> bytes:
     return struct.pack("<I", words.size) + words.tobytes()
 
 
-def read_frame(sock) -> np.ndarray:
-    """Read one length-prefixed frame from a socket; None on EOF."""
+def read_frame(sock, max_words: int | None = None) -> np.ndarray:
+    """Read one length-prefixed frame from a socket; None on EOF.  A frame
+    of more than max_words words raises MALFORMED before its body is read."""
     head = _read_exact(sock, 4)
     if head is None:
         return None
     (count,) = struct.unpack("<I", head)
+    if max_words is not None and count > max_words:
+        raise ProtocolError(Status.MALFORMED,
+                            f"frame of {count} words exceeds {max_words}")
     body = _read_exact(sock, 4 * count)
     if body is None:
         raise ConnectionError("stream truncated inside a frame")

@@ -155,8 +155,8 @@ class HomodyneServer:
         sealed = self.sealed_region()
         if sealed is not None:
             ovf, lo, hi = sealed
-            if overflow == ovf and tags.size \
-                    and int(tags.min()) >= lo and int(tags.max()) < hi:
+            if overflow == ovf and (tags.size == 0 or (
+                    int(tags.min()) >= lo and int(tags.max()) < hi)):
                 return proto.Status.OK
         # distinguish touching the live half from a stale epoch
         active_lo = 0 if buf.write_cursor < buf.half else buf.half
@@ -165,6 +165,14 @@ class HomodyneServer:
         if overflow == buf.overflow_number and bool(np.any(in_active)):
             return proto.Status.ACTIVE_HALF
         return proto.Status.STALE_OVERFLOW
+
+    def _require_readable(self, overflow: int, tags: np.ndarray, what: str):
+        """Raise the typed protocol error unless _classify answers OK."""
+        verdict = self._classify(overflow, tags)
+        if verdict is not proto.Status.OK:
+            raise proto.STATUS_EXCEPTIONS.get(
+                verdict, lambda m="": proto.ProtocolError(verdict, m))(
+                f"{verdict.name} for {what}")
 
     # ------------------------------------------------------------------
     # query engine
@@ -178,15 +186,9 @@ class HomodyneServer:
         with self._lock:
             cfg_window = self.config.integration_window
             cfg_slope = self.config.slope_check
-        if cfg_window > 1:
-            last = tags + cfg_window - 1
-            verdict = self._classify(overflow, np.concatenate([tags, last]))
-        else:
-            verdict = self._classify(overflow, tags)
-        if verdict is not proto.Status.OK:
-            raise proto.STATUS_EXCEPTIONS.get(
-                verdict, lambda m="": proto.ProtocolError(verdict, m))(
-                f"{verdict.name} for {tags.size} timetags")
+        self._require_readable(
+            overflow, np.concatenate([tags, tags + cfg_window - 1])
+            if cfg_window > 1 else tags, f"{tags.size} timetags")
         if cfg_window > 1:
             words = self._integrated_words(tags, cfg_window)
         else:
@@ -236,11 +238,7 @@ class HomodyneServer:
         if not (0 <= start < end <= self.buffer.capacity):
             raise proto.ProtocolError(proto.Status.RANGE, "bad scan range")
         tags = np.arange(start, end, dtype=np.int64)
-        verdict = self._classify(overflow, tags)
-        if verdict is not proto.Status.OK:
-            raise proto.STATUS_EXCEPTIONS.get(
-                verdict, lambda m="": proto.ProtocolError(verdict, m))(
-                f"{verdict.name} for scan [{start}, {end})")
+        self._require_readable(overflow, tags, f"scan [{start}, {end})")
         with self._lock:
             thr = self.config.threshold
             sign = self.config.slope_sign
@@ -392,9 +390,17 @@ class HdsSocketServer:
         class DataHandler(socketserver.BaseRequestHandler):
             def handle(self):
                 conn = ConnectionState()
+                # a keyword header and one timetag per buffer word at most
+                max_words = core.buffer.capacity + proto.REQUEST_HEADER_WORDS
                 while True:
                     try:
-                        body = proto.read_frame(self.request)
+                        body = proto.read_frame(self.request, max_words)
+                    except proto.ProtocolError as err:
+                        # oversized: answer, close, never read the body
+                        reply = proto.encode_response(
+                            err.status, core.buffer.overflow_number)
+                        self.request.sendall(proto.frame_message(reply))
+                        break
                     except ConnectionError:
                         break
                     if body is None:

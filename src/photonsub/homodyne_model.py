@@ -10,6 +10,7 @@ sawtooth phase-drive model used by the acquisition plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -126,27 +127,30 @@ class QuadratureSampler:
         self.step = float(step)
         self.grid = np.arange(grid_min, grid_max + step / 2, step)
         d = state.n_c + 1
-        self._d = d
         psi = hermite_functions(state.n_c, self.grid)          # (d, G)
         # G1b[g, n*d+n'] = psi_n(x_g) psi_n'(x_g)
         self._gb = np.einsum("ng,mg->gnm", psi, psi).reshape(self.grid.size, d * d)
         self._gb_sum = self._gb.sum(axis=0)
         self._phases = np.arange(d)
+        # rho[(n, m), (n', m')] stored as [n, n', m, m']
+        self._matrix_pairs = np.ascontiguousarray(
+            state.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3))
         self._check_mass(mass_tol)
 
-    def _rotated(self, theta1: float, theta2: float) -> np.ndarray:
-        """State conjugated by e^{i(n theta1 + m theta2)}, reshaped so the
-        grid tables contract over (n, n') and (m, m') pairs."""
-        d = self._d
-        ph = np.kron(np.exp(1j * theta1 * self._phases),
-                     np.exp(1j * theta2 * self._phases))
-        rot = (ph[:, None] * self.state.matrix) * ph.conj()[None, :]
-        return rot.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    def _rotated(self, theta1, theta2, out=None) -> np.ndarray:
+        """State conjugated by e^{i(n theta1 + m theta2)} per phase pair,
+        shaped (pairs, (n, n'), (m, m')) for the grid tables; out if given."""
+        ph = (np.exp(1j * np.outer(theta1, self._phases))[:, :, None]
+              * np.exp(1j * np.outer(theta2, self._phases))[:, None, :])
+        q = np.multiply(ph[:, :, None, :, None], self._matrix_pairs, out=out)
+        q = np.multiply(q, ph.conj()[:, None, :, None, :], out=q)
+        return q.reshape((-1,) + self.state.matrix.shape)
 
     def _check_mass(self, tol: float):
-        for th1, th2 in ((0.0, 0.0), (np.pi / 3, 1.1), (1.9, 0.4)):
-            q = self._rotated(th1, th2)
-            total = float(np.real(self._gb_sum @ q @ self._gb_sum)) * self.step ** 2
+        phases = ((0.0, 0.0), (np.pi / 3, 1.1), (1.9, 0.4))
+        q = self._rotated(*np.transpose(phases))
+        for (th1, th2), qk in zip(phases, q):
+            total = float(np.real(self._gb_sum @ qk @ self._gb_sum)) * self.step ** 2
             if total < 1.0 - tol:
                 raise GridMassError(
                     f"grid holds {total:.6f} of unit mass at phases "
@@ -168,23 +172,20 @@ class QuadratureSampler:
         n = theta1.size
         x1 = np.empty(n)
         x2 = np.empty(n)
-        d = self._d
+        # one rotated-state buffer reused by every chunk
+        q_buf = np.empty((min(chunk, n),) + self._matrix_pairs.shape,
+                         dtype=complex)
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
             m = hi - lo
-            ph1 = np.exp(1j * np.outer(theta1[lo:hi], self._phases))
-            ph2 = np.exp(1j * np.outer(theta2[lo:hi], self._phases))
-            ph = (ph1[:, :, None] * ph2[:, None, :]).reshape(m, d * d)
-            rot = ph[:, :, None] * self.state.matrix[None, :, :] * ph.conj()[:, None, :]
-            q = np.ascontiguousarray(
-                rot.reshape(m, d, d, d, d).transpose(0, 1, 3, 2, 4)
-            ).reshape(m, d * d, d * d)
+            q = self._rotated(theta1[lo:hi], theta2[lo:hi], out=q_buf[:m])
             # marginal over x2: row masses of the grid joint
             marg = np.real((q @ self._gb_sum) @ self._gb.T)
             np.clip(marg, 0.0, None, out=marg)
             cdf1 = np.cumsum(marg, axis=1)
             u1 = rng.random(m) * cdf1[:, -1]
-            i1 = np.array([np.searchsorted(cdf1[c], u1[c]) for c in range(m)])
+            # per-row searchsorted: cdf rows are nondecreasing
+            i1 = np.count_nonzero(cdf1 < u1[:, None], axis=1)
             i1 = np.minimum(i1, self.grid.size - 1)
             # conditional row for the chosen x1 cell
             left = (self._gb[i1][:, None, :] @ q)[:, 0, :]
@@ -192,7 +193,7 @@ class QuadratureSampler:
             np.clip(rows, 0.0, None, out=rows)
             cdf2 = np.cumsum(rows, axis=1)
             u2 = rng.random(m) * cdf2[:, -1]
-            i2 = np.array([np.searchsorted(cdf2[c], u2[c]) for c in range(m)])
+            i2 = np.count_nonzero(cdf2 < u2[:, None], axis=1)
             i2 = np.minimum(i2, self.grid.size - 1)
             x1[lo:hi] = self.grid[i1] + (rng.random(m) - 0.5) * self.step
             x2[lo:hi] = self.grid[i2] + (rng.random(m) - 0.5) * self.step
@@ -243,10 +244,10 @@ class PhaseDrive:
     def flyback_samples(self) -> int:
         return max(1, int(round(self.period_samples * self.reset_fraction)))
 
-    def evaluate(self, timetags):
-        """(theta, adc_code, in_ramp) arrays for integer timetags."""
-        t = np.asarray(timetags, dtype=np.int64)
-        u = t % self.period_samples
+    @cached_property
+    def _period_table(self):
+        """(theta, adc_code) at each sample u of one drive period."""
+        u = np.arange(self.period_samples, dtype=np.int64)
         L = self.ramp_samples
         in_ramp = u < L
         frac_up = u / L
@@ -258,7 +259,13 @@ class PhaseDrive:
             (_ADC_SPAN + 1) * v / self.flyback_samples)
         code = np.where(in_ramp, code_up, code_down).astype(np.int64)
         np.clip(code, ADC_CODE_MIN, ADC_CODE_MAX, out=code)
-        return np.where(in_ramp, theta, 0.0), code, in_ramp
+        return np.where(in_ramp, theta, 0.0), code
+
+    def evaluate(self, timetags):
+        """(theta, adc_code, in_ramp) arrays for integer timetags."""
+        u = np.asarray(timetags, dtype=np.int64) % self.period_samples
+        theta, code = self._period_table
+        return theta[u], code[u], u < self.ramp_samples
 
     def theta_from_code(self, code):
         """Inverse of the ramp mapping: code -> theta in [0, 2 pi)."""

@@ -7,7 +7,7 @@ from .pipeline import (EventBatch, PIPELINE_DEPTH_SUBBINS, coincidence_gate,
                        coincidence_pipeline, hold_time_filter,
                        seed_rejection_filter, zero_detection_tags)
 from .records import (RECORD_DTYPE, DatasetWriter, RunReport, build_records,
-                      read_records, write_records)
+                      read_class, read_records, write_records)
 
 __all__ = [
     "weighted_average_subbin", "pack_signature", "unpack_signature",
@@ -17,5 +17,5 @@ __all__ = [
     "coincidence_gate", "hold_time_filter", "seed_rejection_filter",
     "zero_detection_tags",
     "RECORD_DTYPE", "DatasetWriter", "RunReport", "build_records",
-    "read_records", "write_records",
+    "read_class", "read_records", "write_records",
 ]

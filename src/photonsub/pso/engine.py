@@ -314,14 +314,11 @@ class PsoEngine:
                              a_pair, b_pair)
         sa, sb = signature_class(sig)
         for cls in sorted({(int(x), int(y)) for x, y in zip(sa, sb)}):
-            sel = (sa == cls[0]) & (sb == cls[1])
             if cls[0] > cfg.max_class_sum or cls[1] > cfg.max_class_sum:
                 continue
-            if self.writer.target_reached(cls):
-                continue
-            self.writer.add(cls, recs[sel])
+            added = self.writer.add(cls, recs[(sa == cls[0]) & (sb == cls[1])])
             self.report.class_counts[cls] = self.report.class_counts.get(
-                cls, 0) + int(np.count_nonzero(sel))
+                cls, 0) + added
         # kept counts detection events that survived to a response word,
         # whether or not their dataset still accepts records
         self.report.kept += int(np.count_nonzero(~is_zero & good))

@@ -48,6 +48,19 @@ def read_records(path) -> np.ndarray:
         return np.frombuffer(fh.read(), dtype=RECORD_DTYPE).copy()
 
 
+def _part_name(cls, idx: int) -> str:
+    return f"sig_{cls[0]}_{cls[1]}.part{idx:03d}.bin"
+
+
+def read_class(run_dir, cls) -> np.ndarray:
+    """Every record of one (n, m) class in a run directory, in write order."""
+    parts = [np.zeros(0, dtype=RECORD_DTYPE)]
+    while os.path.exists(
+            path := os.path.join(run_dir, _part_name(cls, len(parts) - 1))):
+        parts.append(read_records(path))
+    return np.concatenate(parts)
+
+
 class DatasetWriter:
     """Routes records into per-signature-class rolling files."""
 
@@ -66,10 +79,15 @@ class DatasetWriter:
         tgt = self.class_targets.get(cls)
         return tgt is not None and self.counts.get(cls, 0) >= tgt
 
-    def add(self, cls, records: np.ndarray):
-        """Append records of one (n, m) class, rolling files as needed."""
+    def add(self, cls, records: np.ndarray) -> int:
+        """Append records of one (n, m) class, rolling files as needed; a
+        class with a target admits only the first records it still misses.
+        Returns how many were admitted."""
+        tgt = self.class_targets.get(cls)
+        if tgt is not None:
+            records = records[:max(tgt - self.counts.get(cls, 0), 0)]
         if records.size == 0:
-            return
+            return 0
         self.counts[cls] = self.counts.get(cls, 0) + records.size
         buf = self._pending.get(cls)
         buf = records if buf is None else np.concatenate([buf, records])
@@ -77,10 +95,11 @@ class DatasetWriter:
             self._flush(cls, buf[: self.records_per_file])
             buf = buf[self.records_per_file:]
         self._pending[cls] = buf
+        return records.size
 
     def _flush(self, cls, chunk):
         idx = self._file_index.get(cls, 0)
-        name = f"sig_{cls[0]}_{cls[1]}.part{idx:03d}.bin"
+        name = _part_name(cls, idx)
         path = os.path.join(self.run_dir, name)
         write_records(path, chunk)
         self._file_index[cls] = idx + 1
@@ -106,20 +125,8 @@ class DatasetWriter:
 
     def load_class(self, cls) -> np.ndarray:
         """Read back every record of one class, in write order."""
-        parts = []
-        idx = 0
-        while True:
-            name = f"sig_{cls[0]}_{cls[1]}.part{idx:03d}.bin"
-            path = os.path.join(self.run_dir, name)
-            if not os.path.exists(path):
-                break
-            parts.append(read_records(path))
-            idx += 1
-        pend = self._pending.get(cls)
-        if pend is not None and pend.size:
-            parts.append(pend)
-        return (np.concatenate(parts) if parts
-                else np.zeros(0, dtype=RECORD_DTYPE))
+        pending = self._pending.get(cls, np.zeros(0, dtype=RECORD_DTYPE))
+        return np.concatenate([read_class(self.run_dir, cls), pending])
 
 
 @dataclass

@@ -25,7 +25,6 @@ __all__ = [
     "rrhor_step",
     "reconstruct",
     "rolling_variance",
-    "combined_quadrature",
 ]
 
 PROBABILITY_FLOOR = 1e-12
@@ -103,26 +102,35 @@ class ReconstructionReport:
     psd_repairs: int = 0
 
 
-def _predicted_probabilities(rho_mat: np.ndarray, v: np.ndarray):
-    """p_i = <v_i| rho |v_i> with flooring; returns (p, floored_count)."""
-    p = np.einsum("ij,ij->i", v.conj() @ rho_mat, v).real
+def _r_kernel(rho_mat: np.ndarray, v: np.ndarray, v_conj: np.ndarray):
+    """(R, p, floored_count): p_i = <v_i| rho |v_i> floored, R = sum_i
+    Pi_i / p_i; raises RegularizationError past 1% floored records.
+    v_conj is v.conj(), passed in so iterations conjugate v only once."""
+    p = np.einsum("ij,ij->i", v_conj @ rho_mat, v).real
     floored = int(np.count_nonzero(p < PROBABILITY_FLOOR))
     np.clip(p, PROBABILITY_FLOOR, None, out=p)
-    return p, floored
-
-
-def _r_matrix(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    if floored > MAX_FLOORED_FRACTION * p.size:
+        raise RegularizationError(
+            f"{floored} of {p.size} records hit the probability floor; "
+            "the state model cannot explain the data")
     # Pi_i[m, n] = v_im conj(v_in), so the weighted sum contracts v against
     # its conjugate on the right
-    r = (v.T * (1.0 / p)) @ v.conj()
-    return 0.5 * (r + r.conj().T)
+    r = (v.T * (1.0 / p)) @ v_conj
+    return 0.5 * (r + r.conj().T), p, floored
 
 
-def _check_floored(floored: int, total: int):
-    if floored > MAX_FLOORED_FRACTION * total:
-        raise RegularizationError(
-            f"{floored} of {total} records hit the probability floor; "
-            "the state model cannot explain the data")
+def _rrhor_update(r: np.ndarray, rho_mat: np.ndarray):
+    """R rho R / Tr, Hermitised; negative eigenvalues beyond -1e-10 are
+    clamped and the trace renormalised.  Returns (matrix, repair_count)."""
+    nxt = r @ rho_mat @ r
+    nxt /= np.trace(nxt).real
+    nxt = 0.5 * (nxt + nxt.conj().T)
+    w, u = np.linalg.eigh(nxt)
+    if w[0] >= -1e-10:
+        return nxt, 0
+    w = np.clip(w, 0.0, None)
+    fixed = (u * w) @ u.conj().T
+    return fixed / np.trace(fixed).real, 1
 
 
 def r_operator(rho: TwoModeState, data: TomographyDataset):
@@ -134,18 +142,8 @@ def r_operator(rho: TwoModeState, data: TomographyDataset):
     if rho.n_c != data.n_c:
         raise ValueError("state and dataset cutoffs differ")
     v = data.measurement_vectors()
-    p, floored = _predicted_probabilities(rho.matrix, v)
-    _check_floored(floored, data.size)
-    return _r_matrix(v, p), floored
-
-
-def _repair_psd(mat: np.ndarray):
-    w, u = np.linalg.eigh(mat)
-    if w[0] >= -1e-10:
-        return mat, 0
-    w = np.clip(w, 0.0, None)
-    fixed = (u * w) @ u.conj().T
-    return fixed / np.trace(fixed).real, 1
+    r, _, floored = _r_kernel(rho.matrix, v, v.conj())
+    return r, floored
 
 
 def rrhor_step(rho: TwoModeState, data: TomographyDataset):
@@ -155,10 +153,7 @@ def rrhor_step(rho: TwoModeState, data: TomographyDataset):
     exceed the -1e-10 tolerance and renormalize.
     """
     r, _ = r_operator(rho, data)
-    nxt = r @ rho.matrix @ r
-    nxt /= np.trace(nxt).real
-    nxt = 0.5 * (nxt + nxt.conj().T)
-    nxt, repairs = _repair_psd(nxt)
+    nxt, repairs = _rrhor_update(r, rho.matrix)
     return TwoModeState(rho.n_c, nxt), repairs
 
 
@@ -174,6 +169,7 @@ def reconstruct(data: TomographyDataset, max_iterations: int = 2000,
     d = (data.n_c + 1) ** 2
     n = data.size
     v = data.measurement_vectors()
+    v_conj = v.conj()
     rho = np.eye(d, dtype=complex) / d
     loglik = []
     floored_total = 0
@@ -181,20 +177,14 @@ def reconstruct(data: TomographyDataset, max_iterations: int = 2000,
     bound = np.inf
     it = 0
     for it in range(1, max_iterations + 1):
-        p, floored = _predicted_probabilities(rho, v)
-        _check_floored(floored, n)
+        r, p, floored = _r_kernel(rho, v, v_conj)
         floored_total += floored
         loglik.append(float(np.log(p).sum()))
-        r = _r_matrix(v, p)
         bound = float(np.linalg.eigvalsh(r)[-1] - n)
         if bound < epsilon * n:
             break
-        nxt = r @ rho @ r
-        nxt /= np.trace(nxt).real
-        nxt = 0.5 * (nxt + nxt.conj().T)
-        nxt, rep = _repair_psd(nxt)
+        rho, rep = _rrhor_update(r, rho)
         repairs += rep
-        rho = nxt
     converged = bound < epsilon * n
     if not converged:
         warnings.warn(
@@ -211,17 +201,10 @@ def reconstruct(data: TomographyDataset, max_iterations: int = 2000,
     )
 
 
-def combined_quadrature(x1, x2, sign: int = +1) -> np.ndarray:
-    """(x1 +/- x2)/sqrt(2), the joint quadrature whose variance tracks the
-    two-mode squeezing."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return (np.asarray(x1) + sign * np.asarray(x2)) / np.sqrt(2.0)
-
-
 def rolling_variance(data: TomographyDataset, window: int = 500,
                      sign: int = +1):
-    """Sliding-window variance of the combined quadrature sorted by the
+    """Sliding-window variance of the combined quadrature (x1 + sign*x2)
+    / sqrt(2), whose variance tracks the two-mode squeezing, sorted by the
     joint phase (theta1 + sign*theta2) mod 2 pi.
 
     Returns (phase_centers, variances), each of length N - window + 1.
@@ -231,9 +214,11 @@ def rolling_variance(data: TomographyDataset, window: int = 500,
         raise ValueError("window must be at least 2")
     if window > n:
         raise ValueError(f"window {window} exceeds dataset size {n}")
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
     key = (data.theta1 + sign * data.theta2) % (2 * np.pi)
     order = np.argsort(key, kind="stable")
-    q = combined_quadrature(data.x1, data.x2, sign)[order]
+    q = ((data.x1 + sign * data.x2) / np.sqrt(2.0))[order]
     key = key[order]
     c1 = np.cumsum(np.concatenate(([0.0], q)))
     c2 = np.cumsum(np.concatenate(([0.0], q * q)))

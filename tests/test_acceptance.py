@@ -6,6 +6,7 @@ minutes.
 """
 
 import time
+import warnings
 from math import sqrt
 
 import numpy as np
@@ -146,8 +147,8 @@ def test_criterion_3_entanglement_closed_forms():
 def ten_runs(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_runs")
     results = []
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(UserWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
         for seed in range(10):
             # herald rate raised above the 1000x default so ten runs fit
             # the suite budget; the drawn statistics are rate-independent

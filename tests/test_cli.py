@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -55,8 +56,8 @@ def test_calibrate_command(small_cfg, capsys):
 @pytest.mark.slow
 def test_acquire_then_reconstruct(small_cfg, tmp_path, capsys):
     out_dir = tmp_path / "data"
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(UserWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
         assert cli.main(["acquire", "--config", small_cfg,
                          "--out", str(out_dir)]) == 0
         meta = json.load(open(out_dir / "run_meta.txt"))

@@ -1,4 +1,5 @@
 import json
+import warnings
 from math import pi
 
 import numpy as np
@@ -197,8 +198,8 @@ class TestExperimentSmall:
     @pytest.fixture(scope="class")
     def report(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("exp")
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             return hx.run_experiment(SMALL, out)
 
     def test_conservation(self, report):
@@ -232,6 +233,8 @@ class TestExperimentSmall:
         run = report.run_dir
         payload = json.load(open(f"{run}/report.json"))
         assert "fidelities" in payload
+        assert set(payload["converged"]) == set(payload["final_bound"]) \
+            == {"00", "11"}
         assert (fc.TwoModeState.load(f"{run}/state_rec11.tms").n_c
                 == SMALL.n_c)
         lines = open(f"{run}/rolling_11.csv").read().splitlines()
@@ -253,8 +256,8 @@ class TestDelayScan:
     def test_true_delay_wins(self, tmp_path):
         cfg = SMALL.with_overrides(class_targets={(1, 1): 800, (0, 0): 800},
                                    zero_detection_rate=2 ** 12)
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             rows = hx.delay_scan(cfg, [(0, 0), (3, 3), (-3, -3)], tmp_path,
                                  scan_targets=800, max_iterations=250)
         by_offset = {r.offset: r for r in rows}
@@ -266,7 +269,11 @@ class TestDelayScan:
             assert r.fid["rec11_vs_exp00"] > r.fid["rec11_vs_exp11"]
             assert center.fid["rec11_vs_exp11"] > r.fid["rec11_vs_exp11"]
         assert center.log_negativity_11 > center.log_negativity_00
-        assert (tmp_path / "delay_scan.txt").exists()
+        table = (tmp_path / "delay_scan.txt").read_text().splitlines()
+        assert table[0].endswith("converged(00) converged(11)")
+        for line, r in zip(table[1:], rows):
+            assert line.split()[-2:] == [str(int(r.converged["00"])),
+                                         str(int(r.converged["11"]))]
 
 
 class TestUnconditionalStatistics:
@@ -286,8 +293,8 @@ class TestFullDeterminism:
         # identical config + seeds: datasets and reports byte-identical
         cfg = SMALL.with_overrides(class_targets={(1, 1): 300, (0, 0): 300},
                                    shot_noise_samples=2000)
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             r1 = hx.run_experiment(cfg, tmp_path / "a")
             r2 = hx.run_experiment(cfg, tmp_path / "b")
         assert r1.fidelities == r2.fidelities

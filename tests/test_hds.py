@@ -1,3 +1,6 @@
+import socket
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,7 +251,7 @@ class TestThresholdScan:
 
 class TestProtocol:
     def test_request_response_via_handler(self):
-        srv = make_server(pages=64)
+        srv = make_server(pages=16)
         pattern = fill_first_half(srv)
         conn = hds.ConnectionState()
         body = proto.encode_query(0, np.arange(20))
@@ -257,6 +260,10 @@ class TestProtocol:
         assert status is proto.Status.OK
         assert ovf == 0
         np.testing.assert_array_equal(payload, pattern[:20])
+        # a keyword-only request for the sealed epoch is an empty query
+        reply = srv.handle_request(proto.encode_query(0, []), conn)
+        status, ovf, payload = proto.decode_response(reply)
+        assert status is proto.Status.OK and ovf == 0 and payload.size == 0
 
     def test_keyword_mismatch_error_frame(self):
         srv = make_server(pages=64)
@@ -348,6 +355,33 @@ class TestSocketTransport:
             assert client.control("GET MODE") == "SAMPLES"
             with pytest.raises(hds.StaleEpochError):
                 client.query_samples(7, np.array([1]))
+            client.close()
+        finally:
+            wire.stop()
+
+    def test_oversized_frame_refused_unread(self):
+        core = make_server(pages=16)
+        pattern = fill_first_half(core)
+        wire = hds.HdsSocketServer(core).start()
+        try:
+            # a 2^20-word header with a 12-byte body: the reply must come
+            # without the server waiting for the announced 4 MiB
+            with socket.create_connection(wire.data_address,
+                                          timeout=3.0) as sock:
+                sock.sendall(struct.pack("<I", 2 ** 20) + bytes(12))
+                status, _, payload = proto.decode_response(
+                    proto.read_frame(sock))
+            assert status is proto.Status.MALFORMED and payload.size == 0
+            # frames within the cap still pass
+            client = hds.HdsClient(hds.SocketTransport(
+                wire.data_address, wire.control_address))
+            tags = np.arange(16_000) % core.buffer.half
+            np.testing.assert_array_equal(client.query_samples(0, tags),
+                                          pattern[tags])
+            client.set_config(mode="threshold", threshold=4000,
+                              slope="RISING")
+            crossings = client.threshold_scan(0, 0, core.buffer.half)
+            assert crossings.size > 0
             client.close()
         finally:
             wire.stop()

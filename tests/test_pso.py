@@ -436,6 +436,7 @@ class TestEngine:
         sides = np.tile([0, 1], coarse.size)
         engine.process_sealed_half(0, pulses, sides, zero_span=(100, 200))
         first = engine.writer.counts[(1, 1)]
+        assert first == 5
         assert engine.writer.target_reached((1, 1))
         # a later batch must not grow the dataset further
         coarse2 = coarse + 2000

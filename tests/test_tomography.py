@@ -1,3 +1,4 @@
+import warnings
 from math import pi
 
 import numpy as np
@@ -20,8 +21,8 @@ def _dataset_from_state(state, n, seed, n_c=None):
 
 @pytest.fixture(scope="module")
 def vacuum_data():
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(UserWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
         return _dataset_from_state(fc.TwoModeState.vacuum(2), 10_000, seed=1)
 
 
@@ -45,8 +46,8 @@ class TestDataset:
         rng = np.random.default_rng(0)
         cols = [rng.random(50), rng.random(50),
                 rng.random(50) * 2 * pi, rng.random(50) * 2 * pi]
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             a = tg.TomographyDataset(*cols, n_c=1)
             perm = rng.permutation(50)
             b = tg.TomographyDataset(*(c[perm] for c in cols), n_c=1)
@@ -56,8 +57,8 @@ class TestDataset:
 
 class TestROperator:
     def test_single_record_uniform_state(self):
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             data = tg.TomographyDataset(np.array([0.4]), np.array([-0.2]),
                                         np.array([0.3]), np.array([1.0]), n_c=2)
         d = 9
@@ -80,8 +81,8 @@ class TestROperator:
         st = fc.TwoModeState.vacuum(2)
         dist = []
         for n in (1000, 10_000, 100_000):
-            with np.testing.suppress_warnings() as sup:
-                sup.filter(UserWarning)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
                 data = _dataset_from_state(st, n, seed=n)
             r, _ = tg.r_operator(st, data)
             dist.append(np.linalg.norm(r / n - np.eye(9), ord=2))
@@ -96,8 +97,8 @@ class TestROperator:
         x2 = rng.normal(0, 0.7, n)
         x1[:10] = 7.5
         x2[:10] = -7.5
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             data = tg.TomographyDataset(x1, x2, np.zeros(n), np.zeros(n), n_c=2)
         rho = fc.TwoModeState(2, np.eye(9, dtype=complex) / 9)
         with pytest.raises(tg.RegularizationError):
@@ -111,6 +112,15 @@ class TestStep:
         assert nxt.trace() == pytest.approx(1.0, abs=1e-12)
         assert repairs in (0, 1)
         nxt.validate()
+
+    def test_step_matches_first_reconstruct_iteration(self, vacuum_data):
+        # one shared update: bit-identical, not merely close
+        rho = fc.TwoModeState(2, np.eye(9, dtype=complex) / 9)
+        nxt, _ = tg.rrhor_step(rho, vacuum_data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rep = tg.reconstruct(vacuum_data, max_iterations=1)
+        np.testing.assert_array_equal(nxt.matrix, rep.rho.matrix)
 
     def test_fixed_point_on_complete_basis(self):
         # single-phase complete POVM with frequencies matching rho's
@@ -128,8 +138,8 @@ class TestStep:
         x1 = X1.ravel()
         x2 = X2.ravel()
         th = np.zeros_like(x1)
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             data = tg.TomographyDataset(x1, x2, th, th, n_c=n_c)
         v = data.measurement_vectors()
         p = np.einsum("ij,ij->i", v.conj() @ rho.matrix, v).real
@@ -163,8 +173,8 @@ class TestReconstruct:
         # (likelihood-preferred over the true vacuum); the derived oracle
         # value is F ~ 0.971, approaching 1 as N grows
         st = fc.TwoModeState.vacuum(6)
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             data = _dataset_from_state(st, 10_000, seed=3)
         rep = tg.reconstruct(data, max_iterations=600)
         f = ng.uhlmann_fidelity(rep.rho, st)
@@ -176,15 +186,15 @@ class TestReconstruct:
     def test_tmsv_self_consistency(self):
         m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, eta1=0.55, eta2=0.50)
         st = fc.lossy_subtracted_state(m, n_c=6)
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             data = _dataset_from_state(st, 10_000, seed=4)
         rep = tg.reconstruct(data, max_iterations=1200)
         assert ng.uhlmann_fidelity(rep.rho, st) > 0.97
 
     def test_empty_dataset_rejected(self):
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             data = tg.TomographyDataset(np.zeros(0), np.zeros(0),
                                         np.zeros(0), np.zeros(0), n_c=1)
         with pytest.raises(ValueError):
@@ -217,8 +227,8 @@ class TestReconstruct:
         m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, eta1=0.55, eta2=0.50)
         st = fc.lossy_subtracted_state(m, n_c=3)
         n = 20_000
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             data = _dataset_from_state(st, n, seed=5)
             # near-converged suffices here; the bound warning is expected
             rep = tg.reconstruct(data, max_iterations=800)
@@ -240,8 +250,8 @@ class TestRollingVariance:
         th1 = rng.random(n) * 2 * pi
         th2 = rng.random(n) * 2 * pi
         x1, x2 = QuadratureSampler(state).sample_batch(th1, th2, rng)
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             return tg.TomographyDataset(x1, x2, th1, th2, n_c=state.n_c)
 
     def test_vacuum_flat_half(self):
