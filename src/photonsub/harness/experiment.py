@@ -117,6 +117,8 @@ class ExperimentReport:
     iterations: dict
     converged: dict
     final_bound: dict
+    floored_records_total: dict
+    psd_repairs: dict
     conservation_ok: bool
     class_counts: dict
     run_dir: str = ""
@@ -258,6 +260,9 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
         iterations={k: r.iterations for k, r in reps.items()},
         converged={k: r.converged for k, r in reps.items()},
         final_bound={k: r.final_bound for k, r in reps.items()},
+        floored_records_total={k: r.floored_records_total
+                               for k, r in reps.items()},
+        psd_repairs={k: r.psd_repairs for k, r in reps.items()},
         conservation_ok=engine.report.conservation_holds(),
         class_counts=dict(engine.report.class_counts),
         run_dir=str(out_dir),
@@ -280,6 +285,8 @@ def _write_report(out_dir, report: ExperimentReport, engine):
         "iterations": report.iterations,
         "converged": report.converged,
         "final_bound": report.final_bound,
+        "floored_records_total": report.floored_records_total,
+        "psd_repairs": report.psd_repairs,
         "conservation_ok": report.conservation_ok,
         "class_counts": {f"{k[0]},{k[1]}": v
                          for k, v in report.class_counts.items()},

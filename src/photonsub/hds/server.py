@@ -22,12 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol as proto
-from .buffer import DEFAULT_PAGES, OVERFLOW_MASK, RingBuffer
+from .buffer import DEFAULT_PAGES, OVERFLOW_MASK, PAGE_WORDS, RingBuffer
 from .words import (ADC_MAX, ADC_MIN, PLACEHOLDER_HALF, WORD_DTYPE,
                     pack_words, unpack_words)
 
 INT16_MIN = -32768
 INT16_MAX = 32767
+# SET INTWIN ceiling: one page of words per integrated sample
+MAX_INTEGRATION_WINDOW = PAGE_WORDS
 
 
 @dataclass
@@ -198,11 +200,13 @@ class HomodyneServer:
         return words
 
     def _integrated_words(self, tags: np.ndarray, window: int) -> np.ndarray:
-        offsets = np.arange(window)
-        grid = tags[:, None] + offsets[None, :]
-        a, b = unpack_words(self.buffer.read(grid.ravel()))
-        a = a.astype(np.int64).reshape(-1, window).sum(axis=1)
-        b = b.astype(np.int64).reshape(-1, window).sum(axis=1)
+        # one pass per window offset keeps memory at O(tags)
+        a = np.zeros(tags.size, dtype=np.int64)
+        b = np.zeros(tags.size, dtype=np.int64)
+        for offset in range(window):
+            a_k, b_k = unpack_words(self.buffer.read(tags + offset))
+            a += a_k
+            b += b_k
         sat = ((a < INT16_MIN) | (a > INT16_MAX)
                | (b < INT16_MIN) | (b > INT16_MAX))
         if np.any(sat):
@@ -337,8 +341,8 @@ class HomodyneServer:
     def _set(self, key: str, args) -> str:
         if key == "INTWIN":
             w = int(args[0])
-            if w < 1:
-                return "ERR window must be >= 1"
+            if not 1 <= w <= MAX_INTEGRATION_WINDOW:
+                return f"ERR window must be in [1, {MAX_INTEGRATION_WINDOW}]"
             self.config.integration_window = w
         elif key == "SLOPECHK":
             self.config.slope_check = args[0] not in ("0", "OFF", "off")

@@ -234,7 +234,14 @@ class TestExperimentSmall:
         payload = json.load(open(f"{run}/report.json"))
         assert "fidelities" in payload
         assert set(payload["converged"]) == set(payload["final_bound"]) \
-            == {"00", "11"}
+            == set(payload["floored_records_total"]) \
+            == set(payload["psd_repairs"]) == {"00", "11"}
+        assert all(isinstance(payload[key][cls], int)
+                   for key in ("floored_records_total", "psd_repairs")
+                   for cls in ("00", "11"))
+        text = open(f"{run}/report.txt").read()
+        assert "floored_records_total: " in text
+        assert "psd_repairs: " in text
         assert (fc.TwoModeState.load(f"{run}/state_rec11.tms").n_c
                 == SMALL.n_c)
         lines = open(f"{run}/rolling_11.csv").read().splitlines()

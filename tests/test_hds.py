@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from photonsub import hds
 from photonsub.hds import protocol as proto
+from photonsub.hds.server import MAX_INTEGRATION_WINDOW
 from photonsub.homodyne_model import PhaseDrive
 
 
@@ -120,6 +121,24 @@ class TestQueries:
         aa, _ = hds.unpack_words(out)
         assert aa[0] == 32767
         assert srv.status().saturation_events == 1
+
+    def test_integrated_words_match_grid_formula(self):
+        srv = make_server(pages=64)
+        rng = np.random.default_rng(3)
+        half = srv.buffer.half
+        fill_first_half(srv, hds.pack_words(rng.integers(-8192, 8192, half),
+                                            rng.integers(-8192, 8192, half)))
+        tags = rng.integers(0, half - 4, 500)
+        for window in range(1, 5):
+            assert srv.control(f"SET INTWIN {window}") == "OK"
+            grid = tags[:, None] + np.arange(window)[None, :]
+            a, b = hds.unpack_words(srv.buffer.read(grid.ravel()))
+            a = np.clip(a.astype(np.int64).reshape(-1, window).sum(axis=1),
+                        -32768, 32767)
+            b = np.clip(b.astype(np.int64).reshape(-1, window).sum(axis=1),
+                        -32768, 32767)
+            expect = (((a & 0xFFFF) << 16) | (b & 0xFFFF)).astype(np.uint32)
+            np.testing.assert_array_equal(srv.query_samples(0, tags), expect)
 
     def test_active_half_refused(self):
         srv = make_server(pages=64)
@@ -335,6 +354,36 @@ class TestControlPlane:
         assert line.startswith("OVF 0 TT ")
         srv.inject_fault("clock_unlock")
         assert "UNLOCKED" in srv.control("STATUS")
+
+    def test_integration_window_bounded(self):
+        srv = make_server(pages=64)
+        assert srv.control("SET INTWIN 4") == "OK"
+        for w in (MAX_INTEGRATION_WINDOW + 1, srv.buffer.half, 2 ** 70, 0, -3):
+            assert srv.control(f"SET INTWIN {w}").startswith("ERR")
+            assert srv.control("GET INTWIN") == "4"
+        assert srv.control(f"SET INTWIN {MAX_INTEGRATION_WINDOW}") == "OK"
+        assert srv.control("GET INTWIN") == str(MAX_INTEGRATION_WINDOW)
+
+    _ARG = st.one_of(
+        st.integers(-2 ** 80, 2 ** 80).map(str),
+        st.sampled_from(["SAMPLES", "THRESHOLD", "RISING", "FALLING", "OFF",
+                         "on", "0x10", "1e9", "nan", ""]),
+        st.text(max_size=10))
+
+    @given(verb=st.one_of(st.sampled_from(["STATUS", "HALT", "RESUME",
+                                           "START", "SET", "GET", "set",
+                                           "FROBNICATE"]),
+                          st.text(max_size=8)),
+           key=st.one_of(st.sampled_from(["INTWIN", "SLOPECHK", "THRESH",
+                                          "SLOPE", "MODE", "NOPE"]),
+                         st.text(max_size=8)),
+           args=st.lists(_ARG, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_control_fuzz_one_reply(self, verb, key, args):
+        srv = make_server(pages=16)
+        reply = srv.control(" ".join([verb, key, *args]))
+        assert isinstance(reply, str)
+        assert srv.control("STATUS").startswith("OVF ")
 
 
 class TestSocketTransport:

@@ -206,6 +206,36 @@ class TestReconstruct:
         assert not rep.converged
         assert rep.iterations == 2
 
+    @pytest.mark.slow
+    def test_accelerated_matches_plain_loop_in_half_the_iterations(self):
+        # nominal (1,1) state; the plain reference iterates rrhor_step from
+        # the maximally mixed state until the same stopping bound
+        m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, eta1=0.55,
+                                eta2=0.50, n_sub=1, m_sub=1)
+        st = fc.lossy_subtracted_state(m, n_c=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            data = _dataset_from_state(st, 10_000, seed=11)
+        n, eps = data.size, 1e-6
+        rep = tg.reconstruct(data, epsilon=eps)
+        assert rep.converged
+        r, _ = tg.r_operator(rep.rho, data)
+        assert np.linalg.eigvalsh(r)[-1] - n < eps * n
+
+        rho = fc.TwoModeState(6, np.eye(49, dtype=complex) / 49)
+        for plain_iterations in range(1, 2001):
+            r, _ = tg.r_operator(rho, data)
+            if np.linalg.eigvalsh(r)[-1] - n < eps * n:
+                break
+            rho, _ = tg.rrhor_step(rho, data)
+        else:
+            pytest.fail("plain RρR did not reach the stopping bound")
+        assert ng.uhlmann_fidelity(rep.rho, st) == pytest.approx(
+            ng.uhlmann_fidelity(rho, st), abs=1e-3)
+        assert ng.log_negativity(rep.rho) == pytest.approx(
+            ng.log_negativity(rho), abs=1e-3)
+        assert rep.iterations <= plain_iterations // 2
+
     def test_permutation_invariance_bit_identical(self):
         st = fc.TwoModeState.vacuum(1)
         rng = np.random.default_rng(9)
