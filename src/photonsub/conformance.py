@@ -6,6 +6,8 @@ full list against a live server the way an external conformance rig would.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import numpy as np
 
 from . import hds
@@ -115,12 +117,15 @@ def run_protocol_checks(transport_factory, pages: int = 2048):
         return srv, hds.HdsClient(transport_factory(srv))
 
     srv, cli = fresh()
-    results.append(check_round_trip(srv, cli))
-    results.append(check_keyword_mismatch(cli))
-    results.append(check_stale_overflow(cli))
-    results.append(check_active_half(srv, cli))
+    with closing(cli):
+        results.append(check_round_trip(srv, cli))
+        results.append(check_keyword_mismatch(cli))
+        results.append(check_stale_overflow(cli))
+        results.append(check_active_half(srv, cli))
     srv, cli = fresh()
-    results.append(check_continuation(srv, cli))
+    with closing(cli):
+        results.append(check_continuation(srv, cli))
     srv, cli = fresh()
-    results.append(check_slope_placeholder_rate(srv, cli))
+    with closing(cli):
+        results.append(check_slope_placeholder_rate(srv, cli))
     return results

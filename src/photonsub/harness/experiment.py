@@ -320,7 +320,8 @@ class DelayScanRow:
 def delay_scan(config: ExperimentConfig, offsets, out_dir,
                scan_targets: int = 2500, max_iterations: int = 400):
     """Acquire and reconstruct at delay combinations D(i, j) around the
-    calibrated point; one shared ingest pass feeds every offset."""
+    calibrated point.  Calibration runs once; each offset's
+    run_acquisition restarts both servers and generates every epoch again."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = config.with_overrides(class_targets={(1, 1): scan_targets,
                                                (0, 0): scan_targets},

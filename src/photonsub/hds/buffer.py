@@ -40,14 +40,25 @@ class RingBuffer:
         return (self.page_map[t >> 10] << 10) | (t & 1023)
 
     def write(self, words: np.ndarray) -> int:
-        """Append words at the cursor; returns the number of wraps taken."""
+        """Append words at the cursor; returns the number of wraps taken.
+        No piece (whole pages, or part of one) crosses a half boundary, so
+        the cursor shows a half as active before any word lands in it."""
         words = np.asarray(words, dtype=WORD_DTYPE).ravel()
+        rows = self.data.reshape(self.pages, PAGE_WORDS)
         wraps = 0
         pos = 0
         while pos < words.size:
-            n = min(words.size - pos, self.capacity - self.write_cursor)
-            tags = np.arange(self.write_cursor, self.write_cursor + n)
-            self.data[self.physical_index(tags)] = words[pos:pos + n]
+            page, off = divmod(self.write_cursor, PAGE_WORDS)
+            left = words.size - pos
+            if off == 0 and left >= PAGE_WORDS:
+                k = min(left, self.half - self.write_cursor % self.half) \
+                    // PAGE_WORDS
+                n = k * PAGE_WORDS
+                rows[self.page_map[page:page + k]] = \
+                    words[pos:pos + n].reshape(k, PAGE_WORDS)
+            else:
+                n = min(left, PAGE_WORDS - off)
+                rows[self.page_map[page], off:off + n] = words[pos:pos + n]
             self.write_cursor += n
             pos += n
             if self.write_cursor == self.capacity:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import protocol as proto
 from .buffer import DEFAULT_PAGES, OVERFLOW_MASK, PAGE_WORDS, RingBuffer
-from .words import (ADC_MAX, ADC_MIN, PLACEHOLDER_HALF, WORD_DTYPE,
-                    pack_words, unpack_words)
+from .words import (ADC_MAX, ADC_MIN, PLACEHOLDER_WORD, WORD_DTYPE,
+                    pack_words, sample_view, unpack_words)
 
 INT16_MIN = -32768
 INT16_MAX = 32767
@@ -79,7 +79,6 @@ class HomodyneServer:
         self._adc_out_of_range = False
         self._clock_locked = True
         self._saturation_events = 0
-        self._started = False
 
     # ------------------------------------------------------------------
     # acquisition plane
@@ -91,16 +90,15 @@ class HomodyneServer:
             raise ValueError("residual offset must be 0..2 coarse bins")
         with self._lock:
             self.buffer.reset(start_cursor=residual_offset)
-            self._started = True
 
     def ingest(self, words: np.ndarray):
         """Write a chunk of sample words at the current cursor."""
         if self._halted:
             raise RuntimeError("server is halted; RESUME before ingesting")
         words = np.asarray(words, dtype=WORD_DTYPE)
-        a, b = unpack_words(words)
-        if words.size and (a.min() < ADC_MIN or a.max() > ADC_MAX
-                           or b.min() < ADC_MIN or b.max() > ADC_MAX):
+        samples = sample_view(words)
+        if words.size and (samples.min() < ADC_MIN
+                           or samples.max() > ADC_MAX):
             self._adc_out_of_range = True
         self.buffer.write(words)
         if self.config.pace_realtime:
@@ -168,13 +166,27 @@ class HomodyneServer:
             return proto.Status.ACTIVE_HALF
         return proto.Status.STALE_OVERFLOW
 
+    def _half_mark(self):
+        """(overflow, upper half): changes whenever the sealed half does."""
+        buf = self.buffer
+        return buf.overflow_number, buf.write_cursor >= buf.half
+
     def _require_readable(self, overflow: int, tags: np.ndarray, what: str):
-        """Raise the typed protocol error unless _classify answers OK."""
+        """Raise the typed protocol error unless _classify answers OK;
+        returns the writer's half mark from before the verdict."""
+        mark = self._half_mark()
         verdict = self._classify(overflow, tags)
         if verdict is not proto.Status.OK:
             raise proto.STATUS_EXCEPTIONS.get(
                 verdict, lambda m="": proto.ProtocolError(verdict, m))(
                 f"{verdict.name} for {what}")
+        return mark
+
+    def _require_unmoved(self, mark, what: str):
+        """STALE_OVERFLOW if the writer changed halves since `mark`: the
+        words just read may already belong to a later epoch."""
+        if self._half_mark() != mark:
+            raise proto.StaleEpochError(f"writer changed halves during {what}")
 
     # ------------------------------------------------------------------
     # query engine
@@ -188,46 +200,43 @@ class HomodyneServer:
         with self._lock:
             cfg_window = self.config.integration_window
             cfg_slope = self.config.slope_check
-        self._require_readable(
+        what = f"{tags.size} timetags"
+        mark = self._require_readable(
             overflow, np.concatenate([tags, tags + cfg_window - 1])
-            if cfg_window > 1 else tags, f"{tags.size} timetags")
-        if cfg_window > 1:
-            words = self._integrated_words(tags, cfg_window)
-        else:
-            words = self.buffer.read(tags)
+            if cfg_window > 1 else tags, what)
+        raw = self.buffer.read(tags)
+        words = (self._integrated_words(tags, raw, cfg_window)
+                 if cfg_window > 1 else raw)
         if cfg_slope:
-            words = self._apply_slope_check(tags, words)
+            self._apply_slope_check(tags, raw, words)
+        self._require_unmoved(mark, what)
         return words
 
-    def _integrated_words(self, tags: np.ndarray, window: int) -> np.ndarray:
-        # one pass per window offset keeps memory at O(tags)
-        a = np.zeros(tags.size, dtype=np.int64)
-        b = np.zeros(tags.size, dtype=np.int64)
-        for offset in range(window):
-            a_k, b_k = unpack_words(self.buffer.read(tags + offset))
-            a += a_k
-            b += b_k
-        sat = ((a < INT16_MIN) | (a > INT16_MAX)
-               | (b < INT16_MIN) | (b > INT16_MAX))
+    def _integrated_words(self, tags: np.ndarray, raw: np.ndarray,
+                          window: int) -> np.ndarray:
+        # raw holds offset 0; one pass per offset keeps memory at O(tags)
+        acc = sample_view(raw).astype(np.int64)
+        for offset in range(1, window):
+            acc += sample_view(self.buffer.read(tags + offset))
+        sat = np.any((acc < INT16_MIN) | (acc > INT16_MAX), axis=-1)
         if np.any(sat):
             self._saturation_events += int(np.count_nonzero(sat))
-        a = np.clip(a, INT16_MIN, INT16_MAX)
-        b = np.clip(b, INT16_MIN, INT16_MAX)
-        return (((a & 0xFFFF) << 16) | (b & 0xFFFF)).astype(WORD_DTYPE)
+        words = np.empty_like(raw)
+        sample_view(words)[...] = np.clip(acc, INT16_MIN, INT16_MAX, out=acc)
+        return words
 
-    def _apply_slope_check(self, tags: np.ndarray, words: np.ndarray):
-        """Replace flyback samples with the placeholder word.
+    def _apply_slope_check(self, tags: np.ndarray, raw: np.ndarray,
+                           words: np.ndarray):
+        """Overwrite flyback samples in `words` with the placeholder word.
 
-        A timetag is in the flyback when the phase-drive code decreases
-        from the previous sample.  The neighbor is read raw from storage
-        (the hardware reads SDRAM directly, with no half accounting)."""
-        prev_tags = np.where(tags > 0, tags - 1, 0)
-        _, b_now = unpack_words(self.buffer.read(tags))
-        _, b_prev = unpack_words(self.buffer.read(prev_tags))
-        flyback = (b_now < b_prev) & (tags > 0)
-        out = words.copy()
-        out[flyback] = np.uint32((PLACEHOLDER_HALF << 16) | PLACEHOLDER_HALF)
-        return out
+        A timetag is in the flyback when the phase-drive code in `raw`, the
+        words read at `tags`, decreases from the previous sample.  The
+        neighbor is read raw from storage (the hardware reads SDRAM
+        directly, with no half accounting)."""
+        _, b_now = unpack_words(raw)
+        _, b_prev = unpack_words(
+            self.buffer.read(np.where(tags > 0, tags - 1, 0)))
+        words[(b_now < b_prev) & (tags > 0)] = PLACEHOLDER_WORD
 
     def threshold_scan(self, overflow: int, start: int, end: int) -> np.ndarray:
         """Timetags in [start, end) where the homodyne ADC crosses the
@@ -242,7 +251,8 @@ class HomodyneServer:
         if not (0 <= start < end <= self.buffer.capacity):
             raise proto.ProtocolError(proto.Status.RANGE, "bad scan range")
         tags = np.arange(start, end, dtype=np.int64)
-        self._require_readable(overflow, tags, f"scan [{start}, {end})")
+        what = f"scan [{start}, {end})"
+        mark = self._require_readable(overflow, tags, what)
         with self._lock:
             thr = self.config.threshold
             sign = self.config.slope_sign
@@ -252,6 +262,7 @@ class HomodyneServer:
             hits = (a[:-1] < thr) & (a[1:] >= thr)
         else:
             hits = (a[:-1] > thr) & (a[1:] <= thr)
+        self._require_unmoved(mark, what)
         return (start + 1 + np.nonzero(hits)[0]).astype(WORD_DTYPE)
 
     # ------------------------------------------------------------------
@@ -304,6 +315,9 @@ class HomodyneServer:
             return "ERR empty command"
         cmd = parts[0].upper()
         try:
+            if cmd == "START":
+                self.start_run(int(parts[1]) if len(parts) > 1 else 0)
+                return "OK"
             with self._lock:
                 if cmd == "STATUS":
                     st = self.status()
@@ -324,11 +338,6 @@ class HomodyneServer:
                     return "OK"
                 if cmd == "RESUME":
                     self._halted = False
-                    return "OK"
-                if cmd == "START":
-                    offset = int(parts[1]) if len(parts) > 1 else 0
-                    self.buffer.reset(start_cursor=offset)
-                    self._started = True
                     return "OK"
                 if cmd == "SET":
                     return self._set(parts[1].upper(), parts[2:])

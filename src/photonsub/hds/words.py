@@ -1,10 +1,10 @@
-"""32-bit sample-word packing for the homodyne detection server.
+"""32-bit sample-word layout of the homodyne detection server.
 
-Each buffered word carries two signed 14-bit ADC samples, sign-extended to
-16 bits: the homodyne sample in the high half, the phase-drive sample in
-the low half.  The placeholder half 0x8000 (-32768) cannot arise from
-sign-extending any 14-bit value, so rejected samples are always
-distinguishable from data.
+Each little-endian word carries two signed 14-bit ADC samples, sign-extended
+to int16: in its `(..., 2)` int16 view (`sample_view`) the homodyne sample is
+`[..., 1]` (the high half), the phase-drive sample `[..., 0]`.  The
+placeholder half 0x8000 (-32768) cannot arise from sign-extending any 14-bit
+value, so rejected samples are always distinguishable from data.
 """
 
 from __future__ import annotations
@@ -18,6 +18,15 @@ PLACEHOLDER_HALF = 0x8000
 PLACEHOLDER_WORD = np.uint32((PLACEHOLDER_HALF << 16) | PLACEHOLDER_HALF)
 
 WORD_DTYPE = np.dtype("<u4")
+HALF_DTYPE = np.dtype("<i2")
+HOMODYNE, DRIVE = 1, 0
+
+
+def sample_view(words) -> np.ndarray:
+    """(..., 2) int16 view of the words; it shares memory with `words` only
+    when that is a contiguous WORD_DTYPE array (other input is copied)."""
+    w = np.ascontiguousarray(words, dtype=WORD_DTYPE)
+    return w.view(HALF_DTYPE).reshape(np.shape(words) + (2,))
 
 
 def pack_words(adc_a, adc_b) -> np.ndarray:
@@ -28,18 +37,18 @@ def pack_words(adc_a, adc_b) -> np.ndarray:
         raise ValueError("homodyne sample outside the 14-bit range")
     if b.size and (b.min() < ADC_MIN or b.max() > ADC_MAX):
         raise ValueError("phase-drive sample outside the 14-bit range")
-    return (((a & 0xFFFF) << 16) | (b & 0xFFFF)).astype(WORD_DTYPE)
+    words = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=WORD_DTYPE)
+    view = sample_view(words)
+    view[..., HOMODYNE], view[..., DRIVE] = a, b
+    return words
 
 
 def unpack_words(words):
-    """(adc_a, adc_b) as sign-extended int16 arrays."""
-    w = np.asarray(words, dtype=WORD_DTYPE)
-    a = (w >> np.uint32(16)).astype(np.uint16).astype(np.int16)
-    b = (w & np.uint32(0xFFFF)).astype(np.uint16).astype(np.int16)
-    return a, b
+    """(adc_a, adc_b) as sign-extended int16 views of the words."""
+    view = sample_view(words)
+    return view[..., HOMODYNE], view[..., DRIVE]
 
 
 def is_placeholder(words) -> np.ndarray:
     """True where the homodyne half carries the rejected-sample marker."""
-    w = np.asarray(words, dtype=WORD_DTYPE)
-    return (w >> np.uint32(16)) == np.uint32(PLACEHOLDER_HALF)
+    return sample_view(words)[..., HOMODYNE] == np.iinfo(HALF_DTYPE).min

@@ -36,6 +36,10 @@ class TestWords:
         a, b = hds.unpack_words(w)
         np.testing.assert_array_equal(a, [-8192, 0, 8191])
         np.testing.assert_array_equal(b, [8191, -1, -8192])
+        # a strided input is read through a copy
+        a, b = hds.unpack_words(np.repeat(w, 2)[::2])
+        np.testing.assert_array_equal(a, [-8192, 0, 8191])
+        np.testing.assert_array_equal(b, [8191, -1, -8192])
 
     @given(st.integers(-8192, 8191), st.integers(-8192, 8191))
     @settings(max_examples=200, deadline=None)
@@ -81,6 +85,25 @@ class TestRingBuffer:
         st = srv.status()
         assert st.overflow_number == 1
         assert st.current_timetag == 5
+
+    @pytest.mark.parametrize("cursor", [0, 1, 2])
+    def test_page_writes_match_per_word_reference(self, cursor):
+        buf = hds.RingBuffer(pages=8, page_map_seed=3)
+        buf.reset(start_cursor=cursor)
+        ref = np.zeros(buf.capacity, dtype=np.uint32)
+        rng = np.random.default_rng(cursor)
+        t = cursor
+        # single words, page edges, several pages, then across the wrap
+        for size in (1, 1023, 1024, 1025, 3 * 1024 + 5, buf.capacity - 100):
+            words = rng.integers(0, 2 ** 32, size, dtype=np.uint64) \
+                .astype(np.uint32)
+            tags = (t + np.arange(size)) % buf.capacity
+            ref[(buf.page_map[tags >> 10] << 10) | (tags & 1023)] = words
+            buf.write(words)
+            t = (t + size) % buf.capacity
+            np.testing.assert_array_equal(buf.data, ref)
+            assert buf.write_cursor == t
+        assert buf.overflow_number == 1
 
     def test_overflow_mask_29_bits(self):
         buf = hds.RingBuffer(pages=2)
@@ -312,18 +335,55 @@ class TestProtocol:
             srv.handle_request(np.array([1, 2, 3], dtype=np.uint32), conn))
         assert status is proto.Status.KEYWORD_MISMATCH
 
-    def test_every_request_gets_one_response(self):
-        # protocol totality over random junk frames
-        srv = make_server(pages=64)
+    @pytest.mark.parametrize("mode, body", [
+        ("samples", proto.encode_query(0, np.arange(10))),
+        ("threshold", proto.encode_scan(0, 0, 100)),
+    ])
+    def test_read_racing_a_lap_is_stale(self, mode, body):
+        srv = make_server(pages=4, mode=mode)
         fill_first_half(srv)
+        half, read = srv.buffer.half, srv.buffer.read
+
+        def lapping_read(tags):
+            # the writer fills one more half between the verdict and the read
+            srv.ingest(hds.pack_words(np.full(half, 77), np.zeros(half)))
+            return read(tags)
+
+        srv.buffer.read = lapping_read
+        status, _, payload = proto.decode_response(
+            srv.handle_request(body, hds.ConnectionState()))
+        assert status is proto.Status.STALE_OVERFLOW and payload.size == 0
+        # tag 0 already holds the epoch-1 word
+        assert hds.unpack_words(read(np.array([0])))[0][0] == 77
+
+    _CAP16 = 16 * hds.PAGE_WORDS
+    _WORD = st.one_of(st.just(proto.KEYWORD), st.integers(0, 2),
+                      st.integers(0, _CAP16 - 1),
+                      st.integers(_CAP16, 2 ** 32 - 1),
+                      st.integers(0, 2 ** 32 - 1))
+
+    @given(frames=st.lists(st.lists(_WORD, max_size=12), min_size=1,
+                           max_size=4),
+           mode=st.sampled_from(["samples", "threshold"]),
+           window=st.integers(1, 4), slope=st.booleans(),
+           halted=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_every_request_gets_one_response(self, frames, mode, window,
+                                             slope, halted):
+        # protocol totality: one well-formed reply per random frame
+        srv = make_server(pages=16, mode=mode, integration_window=window,
+                          slope_check=slope)
+        fill_first_half(srv)
+        if halted:
+            srv.control("HALT")
         conn = hds.ConnectionState()
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = int(rng.integers(0, 20))
-            body = rng.integers(0, 2 ** 32, size=n, dtype=np.uint64).astype(np.uint32)
-            reply = srv.handle_request(body, conn)
-            status, _, _ = proto.decode_response(reply)
-            assert isinstance(status, proto.Status)
+        for frame in frames:
+            body = np.array(frame, dtype=np.uint32)
+            status, _, payload = proto.decode_response(
+                srv.handle_request(body, conn))
+            if status is proto.Status.OK and mode == "samples":
+                keyed = body.size and body[0] == proto.KEYWORD
+                assert payload.size == body.size - (2 if keyed else 0)
 
     def test_status_snapshot_fresh(self):
         srv = make_server(pages=64)
@@ -354,6 +414,14 @@ class TestControlPlane:
         assert line.startswith("OVF 0 TT ")
         srv.inject_fault("clock_unlock")
         assert "UNLOCKED" in srv.control("STATUS")
+
+    def test_start_offset_checked_like_start_run(self):
+        srv = make_server(pages=64)
+        with pytest.raises(ValueError):
+            srv.start_run(5)
+        assert srv.control("START 5").startswith("ERR ")
+        assert srv.control("START 2") == "OK"
+        assert srv.status().current_timetag == 2
 
     def test_integration_window_bounded(self):
         srv = make_server(pages=64)
@@ -443,6 +511,28 @@ class TestSocketTransport:
         np.testing.assert_array_equal(out, pattern[:30])
 
 
+class TestConformance:
+    def test_every_client_closed(self):
+        from photonsub.conformance import run_protocol_checks
+
+        class RecordingTransport(hds.InProcessTransport):
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        handed_out = []
+
+        def factory(server):
+            handed_out.append(RecordingTransport(server))
+            return handed_out[-1]
+
+        results = run_protocol_checks(factory, pages=2048)
+        assert all(passed for _, passed, _ in results)
+        assert len(handed_out) == 3
+        assert all(t.closed for t in handed_out)
+
+
 class TestMoreProtocolEdges:
     def test_out_of_range_timetag_status(self):
         srv = make_server(pages=64)
@@ -455,6 +545,17 @@ class TestMoreProtocolEdges:
                         dtype=np.uint32)
         status, _, _ = proto.decode_response(srv.handle_request(body, conn))
         assert status is proto.Status.RANGE
+
+    def test_adc_range_flag_per_half(self):
+        # 8192 and -8193 in the homodyne half, then in the drive half
+        for word in (0x2000_0000, 0xDFFF_0000, 0x0000_2000, 0x0000_DFFF):
+            srv = make_server(pages=2)
+            srv.ingest(np.array([word], dtype=np.uint32))
+            assert srv.status().adc_out_of_range, hex(word)
+        srv = make_server(pages=2)
+        srv.ingest(hds.pack_words([-8192, 8191, -8192, 8191],
+                                  [-8192, 8191, 8191, -8192]))
+        assert not srv.status().adc_out_of_range
 
     def test_adc_range_fault_from_crafted_word(self):
         srv = make_server(pages=64)
