@@ -53,7 +53,8 @@ def cmd_acquire(args):
 
 def cmd_reconstruct(args):
     cfg = _load_cfg(args.config)
-    meta = json.load(open(os.path.join(args.datasets, "run_meta.txt")))
+    with open(os.path.join(args.datasets, "run_meta.txt")) as fh:
+        meta = json.load(fh)
     cls = tuple(int(x) for x in args.cls.split(","))
     records = read_class(args.datasets, cls)[:args.limit]
     if not records.size:
@@ -109,17 +110,10 @@ def cmd_contours(args):
 
 def cmd_protocol_test(args):
     from . import hds
-    from .conformance import run_protocol_checks
+    from .conformance import LoopbackSocketTransport, run_protocol_checks
 
-    if args.socket:
-        def factory(server):
-            wire = hds.HdsSocketServer(server).start()
-            return hds.SocketTransport(wire.data_address,
-                                       wire.control_address)
-    else:
-        def factory(server):
-            return hds.InProcessTransport(server)
-
+    factory = (LoopbackSocketTransport if args.socket
+               else hds.InProcessTransport)
     results = run_protocol_checks(factory, pages=args.pages)
     failed = 0
     for name, ok, detail in results:

@@ -14,6 +14,19 @@ from . import hds
 from .homodyne_model import PhaseDrive
 
 
+class LoopbackSocketTransport(hds.SocketTransport):
+    """Socket transport to its own TCP front end for `server`; closing the
+    transport stops the front end."""
+
+    def __init__(self, server: hds.HomodyneServer):
+        self.wire = hds.HdsSocketServer(server).start()
+        super().__init__(self.wire.data_address, self.wire.control_address)
+
+    def close(self):
+        super().close()
+        self.wire.stop()
+
+
 def _fill_ramp(server: hds.HomodyneServer):
     half = server.buffer.half
     a = np.arange(half + 1) % 8000

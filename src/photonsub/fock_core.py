@@ -5,7 +5,7 @@ tapped off the two modes of a squeezed-vacuum ladder state by weak
 beamsplitters, together with the closed-form coefficients, normalizations
 and heralding probabilities.  A brute-force beamsplitter-circuit oracle is
 included so every closed form can be checked against an independent
-construction.
+construction; it applies each beamsplitter one photon-number block at a time.
 
 Conventions: squeezing phase fixed to zero, so every coefficient is real;
 two-mode basis index order is ``n * (n_c + 1) + m`` with n the photon
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from math import comb, sqrt, tanh
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "SubtractionModel",
@@ -412,52 +411,40 @@ def lossy_subtracted_state(model: SubtractionModel, n_c: int) -> TwoModeState:
 # Brute-force circuit oracle
 # ---------------------------------------------------------------------------
 
-def _ladder_ops(dim: int):
-    a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
-    return a, a.conj().T
-
-
-_BS_CACHE: dict = {}
+def _beamsplit(psi: np.ndarray, theta: float, axes: tuple,
+               convention: str) -> np.ndarray:
+    """exp(+-theta (a_i+ a_j - a_i a_j+)) ("subtract": +, "loss": -) on axes
+    (i, j) of psi, one block N = n_i + n_j at a time.  The block generator is
+    real antisymmetric tridiagonal, <a+1|g_N|a> = sqrt((a+1)(N-a)) with
+    a = n_i, cut to both truncations; U_N = V exp(i theta w) V+ from
+    eigh(-i g_N)."""
+    if convention not in ("subtract", "loss"):
+        raise ValueError("convention must be 'subtract' or 'loss'")
+    if convention == "loss":
+        theta = -theta
+    t = np.moveaxis(psi, axes, (0, 1))
+    di, dj = t.shape[:2]
+    out = np.empty(t.shape)
+    for n in range(di + dj - 1):
+        a = np.arange(max(0, n - dj + 1), min(n, di - 1) + 1)
+        s = np.sqrt((a[:-1] + 1.0) * (n - a[:-1]))
+        w, v = np.linalg.eigh(np.diag(-1j * s, -1) + np.diag(1j * s, 1))
+        u = ((v * np.exp(1j * theta * w)) @ v.conj().T).real
+        out[a, n - a] = np.tensordot(u, t[a, n - a], axes=1)
+    return np.moveaxis(out, (0, 1), axes)
 
 
 def beamsplitter_unitary(theta: float, dim: int, convention: str = "subtract") -> np.ndarray:
     """Two-mode beamsplitter exp(theta (a1+ a2 - a1 a2+)) on a dim x dim
-    truncated pair of modes.
+    truncated pair of modes, rows and columns in the order n1 * dim + n2.
 
     "subtract" maps a1+ -> cos a1+ - sin a2+ (tap convention with
     sin^2 theta = R); "loss" maps a1+ -> cos a1+ + sin a2+ (environment
-    convention with cos^2 theta = eta).  Number conservation makes the
-    truncated exponential exact on every fully contained photon-number
-    block.
+    convention with cos^2 theta = eta).  The oracle's block kernel applied
+    to the identity; exact on every fully contained photon-number block.
     """
-    key = (float(theta), dim, convention)
-    cached = _BS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    a, adag = _ladder_ops(dim)
-    g = np.kron(adag, a) - np.kron(a, adag)
-    if convention == "loss":
-        g = -g
-    elif convention != "subtract":
-        raise ValueError("convention must be 'subtract' or 'loss'")
-    u = expm(theta * g)
-    if len(_BS_CACHE) < 64:
-        _BS_CACHE[key] = u
-    return u
-
-
-def _apply_pair_unitary(state: np.ndarray, u: np.ndarray, axes: tuple) -> np.ndarray:
-    """Apply a two-mode unitary to the given tensor axes of a pure state."""
-    nax = state.ndim
-    i, j = axes
-    rest = [k for k in range(nax) if k not in (i, j)]
-    perm = [i, j] + rest
-    t = np.transpose(state, perm)
-    shp = t.shape
-    t = u @ t.reshape(shp[0] * shp[1], -1)
-    t = t.reshape(shp)
-    inv = np.argsort(perm)
-    return np.transpose(t, inv)
+    eye = np.eye(dim * dim).reshape(dim, dim, dim * dim)
+    return _beamsplit(eye, theta, (0, 1), convention).reshape(dim * dim, dim * dim)
 
 
 def default_working_cutoff(model: SubtractionModel, tail: float = 1e-12) -> int:
@@ -481,7 +468,8 @@ def circuit_oracle(model: SubtractionModel, n_c: int,
     an ancilla vacuum through a tap beamsplitter, projects the ancillas on
     the subtraction signature, routes each mode through an environment
     beamsplitter, traces the environments out, and finally truncates to
-    n_c.  Every closed form in this module is checked against this path.
+    n_c.  Beamsplitters act on the state tensor one photon-number block at
+    a time.  Every closed form in this module is checked against this path.
     """
     if n_c_work is None:
         # the ladder must decay relative to the signature's own norm, not
@@ -506,9 +494,8 @@ def circuit_oracle(model: SubtractionModel, n_c: int,
     # tap + project, one mode at a time to keep the tensor small
     for mode, (R, n_tap) in enumerate([(model.R1, model.n_sub),
                                        (model.R2, model.m_sub)]):
-        u = beamsplitter_unitary(np.arcsin(sqrt(R)), dw, "subtract")
         joint = np.tensordot(psi, np.array([1.0] + [0.0] * (dw - 1)), axes=0)
-        joint = _apply_pair_unitary(joint, u, (mode, 2))
+        joint = _beamsplit(joint, np.arcsin(sqrt(R)), (mode, 2), "subtract")
         psi = joint.take(n_tap, axis=2)
 
     success = float(np.vdot(psi, psi).real)
@@ -522,10 +509,8 @@ def circuit_oracle(model: SubtractionModel, n_c: int,
         # loss beamsplitters against environment vacua, then trace them out
         joint = np.zeros((dw, dw, dw, dw))
         joint[:, :, 0, 0] = psi
-        u1 = beamsplitter_unitary(np.arccos(sqrt(model.eta1)), dw, "loss")
-        u2 = beamsplitter_unitary(np.arccos(sqrt(model.eta2)), dw, "loss")
-        joint = _apply_pair_unitary(joint, u1, (0, 2))
-        joint = _apply_pair_unitary(joint, u2, (1, 3))
+        joint = _beamsplit(joint, np.arccos(sqrt(model.eta1)), (0, 2), "loss")
+        joint = _beamsplit(joint, np.arccos(sqrt(model.eta2)), (1, 3), "loss")
         m = joint.reshape(dw * dw, dw * dw)  # (modes) x (environments)
         rho_full = m @ m.conj().T
     rho_full /= np.trace(rho_full).real

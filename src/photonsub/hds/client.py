@@ -128,12 +128,6 @@ class HdsClient:
             "flags": [] if parts[7] == "NONE" else parts[7].split(","),
         }
 
-    def halt(self):
-        self.control("HALT")
-
-    def resume(self):
-        self.control("RESUME")
-
     def start_run(self, residual_offset: int = 0):
         reply = self.control(f"START {residual_offset}")
         if reply != "OK":

@@ -452,6 +452,10 @@ class HdsSocketServer:
         return self
 
     def stop(self):
+        """Stop the serve loops and join their threads; each connection
+        handler ends when its client closes."""
         for srv in (self._data_srv, self._ctrl_srv):
             srv.shutdown()
             srv.server_close()
+        for th in self._threads:
+            th.join()

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from photonsub import fock_core as fc
-from photonsub import hds
 from photonsub import ng_metrics as ng
 from photonsub import harness as hx
-from photonsub.conformance import run_protocol_checks
+from photonsub.conformance import LoopbackSocketTransport, run_protocol_checks
 from photonsub.pso.centroid import centroid_bins
 from oracles import (kraus_lossy_state, naive_coefficient, naive_norm_sq,
                      pure_ladder_amplitudes)
@@ -212,11 +211,7 @@ def test_criterion_6_delay_calibration():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_protocol_conformance():
-    def factory(server):
-        wire = hds.HdsSocketServer(server).start()
-        return hds.SocketTransport(wire.data_address, wire.control_address)
-
-    results = run_protocol_checks(factory, pages=2048)
+    results = run_protocol_checks(LoopbackSocketTransport, pages=2048)
     ok = all(passed for _, passed, _ in results)
     assert verdict(7, "wire-protocol conformance (round trip, placeholder "
                       "rate, typed errors)", ok,

@@ -1,4 +1,5 @@
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -46,6 +47,15 @@ def test_protocol_test_command(capsys):
     assert "[FAIL]" not in out
 
 
+def test_protocol_test_over_sockets_stops_its_servers(capsys):
+    # each check's TCP front end is stopped and its threads joined
+    before = set(threading.enumerate())
+    assert cli.main(["protocol-test", "--socket", "--pages", "1024"]) == 0
+    assert set(threading.enumerate()) <= before
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 6
+
+
 def test_calibrate_command(small_cfg, capsys):
     assert cli.main(["calibrate", "--config", small_cfg,
                      "--pulses", "1200"]) == 0
@@ -60,7 +70,8 @@ def test_acquire_then_reconstruct(small_cfg, tmp_path, capsys):
         warnings.simplefilter("ignore", UserWarning)
         assert cli.main(["acquire", "--config", small_cfg,
                          "--out", str(out_dir)]) == 0
-        meta = json.load(open(out_dir / "run_meta.txt"))
+        with open(out_dir / "run_meta.txt") as fh:
+            meta = json.load(fh)
         assert meta["class_counts"]["1,1"] >= 300
         assert cli.main(["reconstruct", "--config", small_cfg,
                          "--datasets", str(out_dir), "--cls", "1,1",

@@ -208,16 +208,24 @@ class TestCircuitOracle:
         expect = (1 - lam ** 2) * lam ** (2 * np.arange(7))
         np.testing.assert_allclose(pops, expect / expect.sum(), atol=1e-12)
 
-    def test_beamsplitter_binomial_amplitudes(self):
-        # <k-n, n|U|k, 0> = (-1)^n sqrt(C(k,n) (1-R)^(k-n) R^n)
+    @pytest.mark.parametrize("convention, sign", [("subtract", -1), ("loss", 1)],
+                             ids=["subtract", "loss"])
+    def test_beamsplitter_binomial_amplitudes(self, convention, sign):
+        # <k-n, n|U|k, 0> = sign^n sqrt(C(k,n) (1-R)^(k-n) R^n)
         R = 0.14
         dim = 9
-        u = fc.beamsplitter_unitary(np.arcsin(sqrt(R)), dim, "subtract")
+        u = fc.beamsplitter_unitary(np.arcsin(sqrt(R)), dim, convention)
         for k in range(dim):
             for n in range(k + 1):
                 amp = u[(k - n) * dim + n, k * dim + 0]
-                expect = (-1) ** n * sqrt(comb(k, n) * (1 - R) ** (k - n) * R ** n)
+                expect = sign ** n * sqrt(comb(k, n) * (1 - R) ** (k - n) * R ** n)
                 assert amp == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [30, 33])
+    def test_beamsplitter_orthogonal(self, dim):
+        # real and orthogonal to rounding on every block, truncated ones too
+        u = fc.beamsplitter_unitary(np.pi / 4, dim)
+        assert np.abs(u @ u.T - np.eye(dim * dim)).max() <= 1e-13
 
     def test_success_probability_matches(self):
         st = fc.circuit_oracle(NOMINAL, n_c=6)

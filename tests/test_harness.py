@@ -1,6 +1,7 @@
 import json
 import warnings
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,8 +231,8 @@ class TestExperimentSmall:
             SMALL.adc_scale, rel=0.05)
 
     def test_report_files(self, report):
-        run = report.run_dir
-        payload = json.load(open(f"{run}/report.json"))
+        run = Path(report.run_dir)
+        payload = json.loads((run / "report.json").read_text())
         assert "fidelities" in payload
         assert set(payload["converged"]) == set(payload["final_bound"]) \
             == set(payload["floored_records_total"]) \
@@ -239,12 +240,12 @@ class TestExperimentSmall:
         assert all(isinstance(payload[key][cls], int)
                    for key in ("floored_records_total", "psd_repairs")
                    for cls in ("00", "11"))
-        text = open(f"{run}/report.txt").read()
+        text = (run / "report.txt").read_text()
         assert "floored_records_total: " in text
         assert "psd_repairs: " in text
         assert (fc.TwoModeState.load(f"{run}/state_rec11.tms").n_c
                 == SMALL.n_c)
-        lines = open(f"{run}/rolling_11.csv").read().splitlines()
+        lines = (run / "rolling_11.csv").read_text().splitlines()
         assert lines[0] == "joint_phase_rad,variance"
         assert len(lines) > 100
 
@@ -306,8 +307,8 @@ class TestFullDeterminism:
             r2 = hx.run_experiment(cfg, tmp_path / "b")
         assert r1.fidelities == r2.fidelities
         assert r1.log_negativities == r2.log_negativities
-        assert open(tmp_path / "a/report.json").read() == \
-            open(tmp_path / "b/report.json").read()
+        assert (tmp_path / "a/report.json").read_text() == \
+            (tmp_path / "b/report.json").read_text()
         f1 = (tmp_path / "a/datasets/sig_1_1.part000.bin").read_bytes()
         f2 = (tmp_path / "b/datasets/sig_1_1.part000.bin").read_bytes()
         assert f1 == f2
