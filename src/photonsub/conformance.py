@@ -35,54 +35,56 @@ def _fill_ramp(server: hds.HomodyneServer):
     return a, b
 
 
-def check_round_trip(server, client, n_tags: int = 16_384):
+ROUND_TRIP_TAGS = 16_384
+SLOPE_CHECK_TAGS = 1_000_000
+
+
+def check_round_trip(server, client):
     """Bit-exact echo of a written pattern across page boundaries."""
     a, b = _fill_ramp(server)
     rng = np.random.default_rng(1)
-    span = min(server.buffer.half, 32 * 1024)
-    tags = np.sort(rng.choice(span, size=n_tags, replace=False))
-    pages = np.unique(tags >> 10)
+    span = min(server.buffer.half, 32 * hds.PAGE_WORDS)
+    tags = np.sort(rng.choice(span, size=ROUND_TRIP_TAGS, replace=False))
+    pages = np.unique(tags // hds.PAGE_WORDS)
     words = client.query_samples_batched(0, tags)
     aa, bb = hds.unpack_words(words)
     ok = (np.array_equal(aa, a[tags].astype(np.int16))
           and np.array_equal(bb, b[tags].astype(np.int16))
           and pages.size >= 4)
     return ("round-trip 16384 tags across page boundaries", bool(ok),
-            f"{n_tags} tags over {pages.size} pages")
+            f"{ROUND_TRIP_TAGS} tags over {pages.size} pages")
 
 
 def check_keyword_mismatch(client):
+    name = "keyword mismatch yields typed error frame"
     try:
         bad = np.array([0xDEADBEEF, 0, 1, 2, 3], dtype=np.uint32)
-        reply = client.transport.request(bad)
-        from .hds import protocol as proto
-        status, _, _ = proto.decode_response(reply)
-        ok = status is proto.Status.KEYWORD_MISMATCH
-        return ("keyword mismatch yields typed error frame", ok,
+        status, _, _ = hds.protocol.decode_response(
+            client.transport.request(bad))
+        return (name, status is hds.Status.KEYWORD_MISMATCH,
                 f"status {status.name}")
     except Exception as err:   # noqa: BLE001 - report, not raise
-        return ("keyword mismatch yields typed error frame", False, str(err))
+        return (name, False, str(err))
+
+
+def _check_refused(name, error, client, overflow, tags):
+    try:
+        client.query_samples(overflow, np.array(tags))
+        return (name, False, "no error raised")
+    except error:
+        return (name, True, error.__name__)
+    except Exception as err:  # noqa: BLE001
+        return (name, False, f"wrong error {err!r}")
 
 
 def check_stale_overflow(client):
-    try:
-        client.query_samples(12345, np.array([1, 2, 3]))
-        return ("stale overflow refused", False, "no error raised")
-    except hds.StaleEpochError:
-        return ("stale overflow refused", True, "StaleEpochError")
-    except Exception as err:  # noqa: BLE001
-        return ("stale overflow refused", False, f"wrong error {err!r}")
+    return _check_refused("stale overflow refused", hds.StaleEpochError,
+                          client, 12345, [1, 2, 3])
 
 
 def check_active_half(server, client):
-    active = server.buffer.half + 7
-    try:
-        client.query_samples(0, np.array([active]))
-        return ("active-half access refused", False, "no error raised")
-    except hds.ActiveHalfError:
-        return ("active-half access refused", True, "ActiveHalfError")
-    except Exception as err:  # noqa: BLE001
-        return ("active-half access refused", False, f"wrong error {err!r}")
+    return _check_refused("active-half access refused", hds.ActiveHalfError,
+                          client, 0, [server.buffer.half + 7])
 
 
 def check_continuation(server, client):
@@ -96,7 +98,7 @@ def check_continuation(server, client):
     return ("continuation batches share the keyword epoch", bool(ok), "")
 
 
-def check_slope_placeholder_rate(server, client, n_tags: int = 1_000_000):
+def check_slope_placeholder_rate(server, client):
     """0.1% +/- 0.05% placeholder words with a 10-kHz drive at
     reset_fraction 0.001."""
     drive = PhaseDrive(ramp_frequency_hz=10_000.0, reset_fraction=0.001)
@@ -106,7 +108,7 @@ def check_slope_placeholder_rate(server, client, n_tags: int = 1_000_000):
     server.ingest_samples(np.zeros(t.size), code)
     client.set_config(slope_check=True)
     rng = np.random.default_rng(3)
-    tags = rng.integers(1, half, size=n_tags)
+    tags = rng.integers(1, half, size=SLOPE_CHECK_TAGS)
     # exercise the multi-message path on a large query
     words = client.query_samples_batched(0, np.sort(tags))
     client.set_config(slope_check=False)

@@ -48,6 +48,9 @@ _SERIES_KMAX_MARGIN = 80
 
 _DUMP_MAGIC = b"TMST\x01"
 
+_HERM_TOL, _TRACE_TOL, _PSD_TOL = 1e-12, 1e-10, 1e-10    # validate()
+_LADDER_TAIL = 1e-12    # ladder weight default_working_cutoff leaves out
+
 
 class TruncationWarning(UserWarning):
     """More than the allowed state weight fell outside the photon cutoff."""
@@ -169,17 +172,17 @@ class TwoModeState:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
 
-    def validate(self, herm_tol=1e-12, trace_tol=1e-10, psd_tol=1e-10):
+    def validate(self):
         """Raise if the state violates its Hermiticity/trace/PSD contract."""
         h = self.hermiticity_residual()
-        if h >= herm_tol:
-            raise ValueError(f"hermiticity residual {h:.3e} >= {herm_tol}")
+        if h >= _HERM_TOL:
+            raise ValueError(f"hermiticity residual {h:.3e} >= {_HERM_TOL}")
         t = abs(self.trace() - 1.0)
-        if t >= trace_tol:
-            raise ValueError(f"|trace - 1| = {t:.3e} >= {trace_tol}")
+        if t >= _TRACE_TOL:
+            raise ValueError(f"|trace - 1| = {t:.3e} >= {_TRACE_TOL}")
         ev = self.min_eigenvalue()
-        if ev <= -psd_tol:
-            raise ValueError(f"min eigenvalue {ev:.3e} <= -{psd_tol}")
+        if ev <= -_PSD_TOL:
+            raise ValueError(f"min eigenvalue {ev:.3e} <= -{_PSD_TOL}")
         return self
 
     # -- serialization ----------------------------------------------------
@@ -447,14 +450,14 @@ def beamsplitter_unitary(theta: float, dim: int, convention: str = "subtract") -
     return _beamsplit(eye, theta, (0, 1), convention).reshape(dim * dim, dim * dim)
 
 
-def default_working_cutoff(model: SubtractionModel, tail: float = 1e-12) -> int:
-    """Smallest per-mode cutoff keeping the squeezed-ladder tail below `tail`."""
+def default_working_cutoff(model: SubtractionModel) -> int:
+    """Smallest per-mode cutoff keeping the ladder tail below _LADDER_TAIL."""
     t2 = model.t_r ** 2
     if t2 == 0.0:
         return max(model.n_sub, model.m_sub, 2)
     k = 0
     w = 1.0
-    while w * t2 >= tail and k < 200:
+    while w * t2 >= _LADDER_TAIL and k < 200:
         w *= t2
         k += 1
     return max(k + 1, model.n_sub + 2, model.m_sub + 2, 4)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_LAG = 64
+PEAK_HALFWIDTH = 6      # lags this close to the peak stay out of the floor
+MIN_SNR = 5.0
 
 
 class CalibrationFailedError(RuntimeError):
@@ -46,10 +48,10 @@ def cross_correlate(det_tags, crossing_tags, max_lag: int = MAX_LAG):
     return lags, counts
 
 
-def analyze_correlation(lags, counts, exclude_halfwidth: int = 6):
+def analyze_correlation(lags, counts):
     """(peak_lag, snr, fwhm) from a cross-correlation histogram.
 
-    SNR is the peak over the mean of lags farther than exclude_halfwidth
+    SNR is the peak over the mean of lags farther than PEAK_HALFWIDTH
     from the peak; FWHM is the contiguous run around the peak at or above
     half maximum.
     """
@@ -57,7 +59,7 @@ def analyze_correlation(lags, counts, exclude_halfwidth: int = 6):
         raise CalibrationFailedError("no coincidences in the scan window")
     ipk = int(counts.argmax())
     peak = counts[ipk]
-    off = np.abs(np.arange(counts.size) - ipk) > exclude_halfwidth
+    off = np.abs(np.arange(counts.size) - ipk) > PEAK_HALFWIDTH
     floor = counts[off].mean() if np.any(off) else 0.0
     snr = peak / max(floor, 1.0)
     half = peak / 2.0
@@ -70,16 +72,14 @@ def analyze_correlation(lags, counts, exclude_halfwidth: int = 6):
     return int(lags[ipk]), float(snr), int(right - left + 1)
 
 
-def thermal_calibration(det_tags, crossing_tags,
-                        max_lag: int = MAX_LAG,
-                        min_snr: float = 5.0) -> CalibrationResult:
+def thermal_calibration(det_tags, crossing_tags) -> CalibrationResult:
     """Peak-delay estimate from detector and threshold-crossing tags."""
     if len(det_tags) == 0 or len(crossing_tags) == 0:
         raise CalibrationFailedError("no pulses to correlate")
-    lags, counts = cross_correlate(det_tags, crossing_tags, max_lag)
+    lags, counts = cross_correlate(det_tags, crossing_tags)
     peak, snr, fwhm = analyze_correlation(lags, counts)
-    if snr < min_snr:
+    if snr < MIN_SNR:
         raise CalibrationFailedError(
-            f"cross-correlation SNR {snr:.1f} below the minimum {min_snr}")
+            f"cross-correlation SNR {snr:.1f} below the minimum {MIN_SNR}")
     return CalibrationResult(peak_delay=peak, snr=snr, fwhm_bins=fwhm,
                              lags=lags, counts=counts)

@@ -10,6 +10,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 from ..fock_core import SubtractionModel
+from ..pso import PsoRunConfig
 
 DEFAULT_CLASS_TARGETS = {(1, 1): 10_000, (0, 0): 10_000}
 
@@ -67,6 +68,15 @@ class ExperimentConfig:
                                 eta1=self.eta1, eta2=self.eta2,
                                 n_sub=n_sub, m_sub=m_sub)
 
+    def pso_config(self, delays) -> PsoRunConfig:
+        """The orchestrator settings of this run at the given query delays."""
+        offset, width, period = self.seed_window
+        return PsoRunConfig(
+            delay_a=delays[0], delay_b=delays[1], hold_bins=self.hold_bins,
+            seed_window_offset=offset, seed_window_width=width,
+            seed_window_period=period,
+            zero_detection_rate=self.zero_detection_rate)
+
     def validate(self) -> "ExperimentConfig":
         if min(self.class_targets.values(), default=1) < 1:
             raise ValueError("dataset size targets must be >= 1")
@@ -76,6 +86,7 @@ class ExperimentConfig:
             raise ValueError("server offsets must be 0..2 bins")
         if abs(self.true_delay_a) > 64 or abs(self.true_delay_b) > 64:
             raise ValueError("true delays must stay within +/-64 bins")
+        self.pso_config((0, 0))     # the orchestrator's checks, before a run
         return self
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":

@@ -25,14 +25,16 @@ from ..tomography import (ReconstructionReport, TomographyDataset,
                           reconstruct, rolling_variance)
 from .calibration import thermal_calibration
 from .config import ExperimentConfig
-from .generator import StreamGenerator, _rng, phase_drives
+from .generator import (THERMAL_PULSE_PERIOD, THERMAL_THRESHOLD_CODE,
+                        StreamGenerator, _rng, herald_subbins, phase_drives)
 
 _STREAM_SHOT = 21
 _STREAM_ZERO = 22
 
-# fixed trigger-pipeline offset: a herald in coarse bin T with the
-# generator's sub-bin placement is tagged T - 1 (see pso.pipeline)
-PIPELINE_COARSE_OFFSET = -1
+# fixed trigger-pipeline offset: the coarse tag the trigger gives a lone
+# herald that the generator placed in coarse bin 0 (see pso.pipeline)
+PIPELINE_COARSE_OFFSET = int(
+    coincidence_pipeline(herald_subbins(np.zeros(1, np.int64)), [0]).coarse[0])
 
 
 @dataclass
@@ -79,12 +81,12 @@ def run_delay_calibration(rig: Rig, pulses_wanted: int = 10_000):
     """
     cfg = rig.config
     results = []
-    span = min(pulses_wanted * 1000 + 200, rig.half - 100)
+    span = min(pulses_wanted * THERMAL_PULSE_PERIOD + 200, rig.half - 100)
     for side, (server, client, offset) in enumerate((
             (rig.server_a, rig.client_a, cfg.server_offset_a),
             (rig.server_b, rig.client_b, cfg.server_offset_b))):
         client.start_run(offset)
-        subbins, sides = rig.generator.thermal_epoch(server, side, 0, span)
+        subbins, sides = rig.generator.thermal_epoch(server, side, span)
         # zero-fill the rest of the half so it seals
         remainder = rig.half - span + 1
         server.ingest_samples(np.zeros(remainder), np.zeros(remainder))
@@ -92,7 +94,8 @@ def run_delay_calibration(rig: Rig, pulses_wanted: int = 10_000):
         # PSO tags live on the master clock; the server's start skew shows
         # up in the crossing tags and lands inside the measured delay
         det_tags = events.coarse
-        client.set_config(mode="threshold", threshold=4000, slope="RISING")
+        client.set_config(mode="threshold", threshold=THERMAL_THRESHOLD_CODE,
+                          slope="RISING")
         crossings = client.threshold_scan(0, 0, span)
         client.set_config(mode="samples")
         results.append(thermal_calibration(det_tags, crossings))
@@ -177,13 +180,7 @@ def run_acquisition(rig: Rig, delays, run_dir, max_epochs: int = 64):
     Returns (engine, shot_noise_scales).
     """
     cfg = rig.config
-    console = PsoConsole(PsoRunConfig(
-        delay_a=delays[0], delay_b=delays[1], hold_bins=cfg.hold_bins,
-        seed_window_offset=cfg.seed_window[0],
-        seed_window_width=cfg.seed_window[1],
-        seed_window_period=cfg.seed_window[2],
-        zero_detection_rate=cfg.zero_detection_rate,
-        max_class_sum=3))
+    console = PsoConsole(cfg.pso_config(delays))
     writer = DatasetWriter(run_dir, records_per_file=cfg.records_per_file,
                            class_targets=dict(cfg.class_targets))
     engine = PsoEngine(rig.client_a, rig.client_b, console, writer,
@@ -207,7 +204,7 @@ def run_acquisition(rig: Rig, delays, run_dir, max_epochs: int = 64):
                                    zero_span=(zero_lo, hi - margin))
         if scales is None:
             a, b = engine.collect_shot_noise(
-                0, (margin, cfg.shutter_bins - margin),
+                (margin, cfg.shutter_bins - margin),
                 cfg.shot_noise_samples, _rng(cfg.seed, _STREAM_SHOT))
             scales = (float(np.sqrt(2.0 * a.var())),
                       float(np.sqrt(2.0 * b.var())))
@@ -366,18 +363,18 @@ def _write_scan_table(path, rows):
 # throughput benchmark
 # ---------------------------------------------------------------------------
 
-def throughput_benchmark(duration_s: float = 10.0, pages: int = 2048,
-                         events_per_half: int = 60_000, seed: int = 7):
+def throughput_benchmark(duration_s: float = 10.0):
     """Loopback throughput of the full PSO processing chain.
 
-    Streams synthetic coincidences through ingest, trigger, filters, HDS
-    queries and triage until the wall-clock budget elapses; returns a dict
-    with the sustained event rate and the server health flags.
+    Streams synthetic coincidences (60,000 per half of a 2,048-page buffer)
+    through ingest, trigger, filters, HDS queries and triage until the
+    wall-clock budget elapses; returns a dict with the sustained event rate
+    and the server health flags.
     """
     import tempfile
 
-    srv_a = HomodyneServer(pages=pages, page_map_seed=seed)
-    srv_b = HomodyneServer(pages=pages, page_map_seed=seed + 1)
+    srv_a = HomodyneServer(pages=2048, page_map_seed=7)
+    srv_b = HomodyneServer(pages=2048, page_map_seed=8)
     client_a = HdsClient(InProcessTransport(srv_a))
     client_b = HdsClient(InProcessTransport(srv_b))
     half = srv_a.buffer.half
@@ -387,8 +384,7 @@ def throughput_benchmark(duration_s: float = 10.0, pages: int = 2048,
         engine = PsoEngine(client_a, client_b, console, writer,
                            half_words=half)
         engine.start_run()
-        rng = np.random.default_rng(seed)
-        stride = max(half // events_per_half, 8)
+        stride = max(half // 60_000, 8)
         base_coarse = np.arange(16, half - 16, stride)
         code = np.full(half, 1000, dtype=np.int64)
         drive = np.zeros(half, dtype=np.int64)
@@ -399,7 +395,7 @@ def throughput_benchmark(duration_s: float = 10.0, pages: int = 2048,
             srv_a.ingest_samples(code, drive)
             srv_b.ingest_samples(code, drive)
             coarse = epoch * half + base_coarse
-            subbins = np.repeat(coarse * 3 + 1, 2)
+            subbins = np.repeat(herald_subbins(coarse), 2)
             sides = np.tile(np.array([0, 1]), coarse.size)
             engine.process_sealed_half(epoch, subbins, sides)
             processed += coarse.size

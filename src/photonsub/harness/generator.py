@@ -19,10 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..fock_core import lossy_subtracted_state, success_probability
+from ..hds.words import ADC_MAX, ADC_MIN
 from ..homodyne_model import PhaseDrive, QuadratureSampler
+from ..pso.pipeline import SUBBINS_PER_COARSE, TREE_DETECTORS
 from .config import ExperimentConfig
 
 CHUNK = 1 << 22  # background generation chunk, samples
+HERALD_SUBBIN = 1       # sub-bin of its coarse bin where a pulse lands
+DEAD_TIME_BINS = 4      # per tree detector, coarse bins
+# pulsed-thermal calibration stream (thermal_epoch)
+THERMAL_THRESHOLD_CODE = 4000
+THERMAL_PULSE_PERIOD = 1000     # coarse bins: 100 kHz
+_PULSE_WIDTH = 5                # bins per bump
+_NOISE_CROSSING_RATE = 0.01     # single-bin spikes per bin
+_DARK_TAG_FRACTION = 0.02       # dark detector tags per pulse
 
 _STREAM_HERALDS = 11
 _STREAM_CLASSES = 12
@@ -50,6 +60,11 @@ class HeraldPlan:
     detector_subbins: np.ndarray = field(default=None)
     detector_sides: np.ndarray = field(default=None)
     detector_tree_idx: np.ndarray = field(default=None)
+
+
+def herald_subbins(coarse):
+    """300-MHz sub-bin of a detector pulse in each coarse bin."""
+    return SUBBINS_PER_COARSE * coarse + HERALD_SUBBIN
 
 
 def phase_drives(config: ExperimentConfig):
@@ -95,7 +110,7 @@ class StreamGenerator:
 
         Arrival times are Poisson at the configured rate; heralds may fall
         arbitrarily close together (the orchestrator's hold filter deals
-        with that), but each tree detector observes its 4-bin dead time,
+        with that), but each tree detector observes its dead time,
         silently missing photons that arrive too soon.
         """
         cfg = self.config
@@ -121,14 +136,15 @@ class StreamGenerator:
         at the same fixed sub-bin of the herald's coarse bin.
 
         The trigger sums counts per side immediately, so the tree index
-        matters only through the per-detector 4-bin dead time; a detector
+        matters only through the per-detector dead time; a detector
         hit again too soon drops the later pulse, which downgrades the
         apparent signature of that herald exactly as real inefficiency
         would.
         """
         h = plan.coarse.size
-        base = 3 * plan.coarse + 1
-        parts = []
+        base = herald_subbins(plan.coarse)
+        empty = np.zeros(0, dtype=np.int64)
+        parts = [(empty, empty, empty)]
         for side, counts in ((0, plan.cls_n), (1, plan.cls_m)):
             rep = np.repeat(np.arange(h), counts)
             if rep.size == 0:
@@ -137,34 +153,28 @@ class StreamGenerator:
             within = np.arange(rep.size) - np.repeat(starts, counts)
             # rotate a random starting detector: photons of one herald land
             # on distinct detectors since counts never exceed the tree
-            first = rng.integers(0, 3, size=h)
+            first = rng.integers(0, TREE_DETECTORS, size=h)
             parts.append((base[rep], np.full(rep.size, side),
-                          (first[rep] + within) % 3))
-        if parts:
-            plan.detector_subbins = np.concatenate([p[0] for p in parts])
-            plan.detector_sides = np.concatenate([p[1] for p in parts])
-            plan.detector_tree_idx = np.concatenate([p[2] for p in parts])
-        else:
-            plan.detector_subbins = np.zeros(0, dtype=np.int64)
-            plan.detector_sides = np.zeros(0, dtype=np.int64)
-            plan.detector_tree_idx = np.zeros(0, dtype=np.int64)
+                          (first[rep] + within) % TREE_DETECTORS))
+        (plan.detector_subbins, plan.detector_sides,
+         plan.detector_tree_idx) = (np.concatenate(c) for c in zip(*parts))
         self._enforce_dead_time(plan)
 
-    def _enforce_dead_time(self, plan: HeraldPlan, dead_bins: int = 4):
+    def _enforce_dead_time(self, plan: HeraldPlan):
         keep = np.ones(plan.detector_subbins.size, dtype=bool)
-        coarse = plan.detector_subbins // 3
-        det_key = plan.detector_sides * 3 + plan.detector_tree_idx
+        coarse = plan.detector_subbins // SUBBINS_PER_COARSE
+        det_key = plan.detector_sides * TREE_DETECTORS + plan.detector_tree_idx
         for key in np.unique(det_key):
             sel = np.nonzero(det_key == key)[0]
             tags = coarse[sel]
             order = np.argsort(tags, kind="stable")
             tags = tags[order]
-            if tags.size < 2 or np.diff(tags).min() >= dead_bins:
+            if tags.size < 2 or np.diff(tags).min() >= DEAD_TIME_BINS:
                 continue
             alive = np.ones(sel.size, dtype=bool)
-            last = -(dead_bins + 1)
+            last = -(DEAD_TIME_BINS + 1)
             for i, t in enumerate(tags):
-                if t - last < dead_bins:
+                if t - last < DEAD_TIME_BINS:
                     alive[i] = False
                 else:
                     last = t
@@ -235,7 +245,7 @@ class StreamGenerator:
 
     def to_codes(self, x) -> np.ndarray:
         code = np.rint(np.asarray(x) * self.config.adc_scale).astype(np.int64)
-        return np.clip(code, -8192, 8191)
+        return np.clip(code, ADC_MIN, ADC_MAX)
 
     # ------------------------------------------------------------------
     def fill_epoch(self, server_a, server_b, epoch: int, half: int,
@@ -286,46 +296,38 @@ class StreamGenerator:
     # ------------------------------------------------------------------
     # thermal delay calibration streams
     # ------------------------------------------------------------------
-    def thermal_epoch(self, server, side: int, epoch: int, half: int,
-                      pulse_period: int = 1000, pulse_width: int = 5,
-                      threshold_code: int = 4000,
-                      noise_crossing_rate: float = 0.01,
-                      dark_tag_fraction: float = 0.02):
+    def thermal_epoch(self, server, side: int, half: int):
         """Pulsed-thermal calibration data for one server and side.
 
         Returns (detector_subbins, detector_sides).  Each 100-kHz pulse
-        puts a detector tag at its onset bin and a noisy 5-bin bump on the
+        puts a detector tag at its onset bin and a noisy bump on the
         server's homodyne channel at onset + true delay; per-bin bump
         values straddle the threshold so crossings spread over the pulse.
         Sparse single-bin noise spikes set the accidental-coincidence
         floor that fixes the cross-correlation SNR scale.
         """
         cfg = self.config
-        rng = _rng(cfg.seed, _STREAM_CAL, 1000 + side + 10 * epoch)
-        lo = epoch * half
-        hi = lo + half
+        rng = _rng(cfg.seed, _STREAM_CAL, 1000 + side)
         delay = cfg.true_delay_a if side == 0 else cfg.true_delay_b
-        a = rng.integers(-500, 500, size=hi - lo)
-        onsets = np.arange(lo + 100, hi - pulse_width - delay - 2, pulse_period)
+        a = rng.integers(-500, 500, size=half)
+        onsets = np.arange(100, half - _PULSE_WIDTH - delay - 2,
+                           THERMAL_PULSE_PERIOD)
         # bump: each bin independently above threshold with p = 0.45
-        above = rng.random((onsets.size, pulse_width)) < 0.45
-        amp = np.where(above,
-                       threshold_code + rng.integers(100, 3000,
-                                                     size=above.shape),
+        above = rng.random((onsets.size, _PULSE_WIDTH)) < 0.45
+        amp = np.where(above, THERMAL_THRESHOLD_CODE
+                       + rng.integers(100, 3000, size=above.shape),
                        rng.integers(0, 2000, size=above.shape))
-        for j in range(pulse_width):
-            a[onsets - lo + delay + j] = amp[:, j]
+        for j in range(_PULSE_WIDTH):
+            a[onsets + delay + j] = amp[:, j]
         # single-bin noise spikes for the accidental floor
-        n_noise = rng.poisson(noise_crossing_rate * (hi - lo))
-        noise_pos = rng.integers(0, hi - lo, size=n_noise)
-        a[noise_pos] = threshold_code + 1000
+        n_noise = rng.poisson(_NOISE_CROSSING_RATE * half)
+        noise_pos = rng.integers(0, half, size=n_noise)
+        a[noise_pos] = THERMAL_THRESHOLD_CODE + 1000
         drive = (self.drive_a if side == 0 else self.drive_b).evaluate(
-            np.arange(lo, hi))[1]
-        server.ingest_samples(np.clip(a, -8192, 8191), drive)
+            np.arange(half))[1]
+        server.ingest_samples(np.clip(a, ADC_MIN, ADC_MAX), drive)
         # detector tags: pulse onsets plus a few dark counts
-        n_dark = rng.poisson(dark_tag_fraction * onsets.size)
-        dark_tags = rng.integers(lo, hi, size=n_dark)
+        n_dark = rng.poisson(_DARK_TAG_FRACTION * onsets.size)
+        dark_tags = rng.integers(0, half, size=n_dark)
         tags = np.sort(np.concatenate([onsets, dark_tags]))
-        subbins = 3 * tags + 1
-        sides = np.full(subbins.size, side)
-        return subbins, sides
+        return herald_subbins(tags), np.full(tags.size, side)

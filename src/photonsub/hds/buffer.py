@@ -14,7 +14,8 @@ import numpy as np
 from .words import WORD_DTYPE
 
 DEFAULT_PAGES = 67_500
-PAGE_WORDS = 1024
+PAGE_BITS = 10
+PAGE_WORDS = 1 << PAGE_BITS
 OVERFLOW_BITS = 29
 OVERFLOW_MASK = (1 << OVERFLOW_BITS) - 1
 
@@ -37,7 +38,8 @@ class RingBuffer:
         t = np.asarray(timetags, dtype=np.int64)
         if t.size and (t.min() < 0 or t.max() >= self.capacity):
             raise IndexError("timetag outside buffer capacity")
-        return (self.page_map[t >> 10] << 10) | (t & 1023)
+        return ((self.page_map[t >> PAGE_BITS] << PAGE_BITS)
+                | (t & (PAGE_WORDS - 1)))
 
     def write(self, words: np.ndarray) -> int:
         """Append words at the cursor; returns the number of wraps taken.

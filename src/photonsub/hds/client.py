@@ -17,6 +17,8 @@ from . import protocol as proto
 from .server import ConnectionState, HomodyneServer
 from .words import WORD_DTYPE
 
+QUERY_BATCH_WORDS = 16_000      # words per fragment of a large query
+
 
 class InProcessTransport:
     def __init__(self, server: HomodyneServer):
@@ -75,7 +77,7 @@ class HdsClient:
         return self._roundtrip(body)
 
     def query_samples_batched(self, overflow: int, timetags,
-                              batch: int = 16000) -> np.ndarray:
+                              batch: int = QUERY_BATCH_WORDS) -> np.ndarray:
         """Large query split into keyword header + continuation batches,
         the way client drivers fragment big requests."""
         tags = np.asarray(timetags, dtype=WORD_DTYPE).ravel()

@@ -78,25 +78,24 @@ STATUS_EXCEPTIONS = {
 }
 
 
-def encode_query(overflow: int, timetags, with_keyword: bool = True,
-                 keyword: int = KEYWORD) -> np.ndarray:
+def encode_query(overflow: int, timetags,
+                 with_keyword: bool = True) -> np.ndarray:
     tags = np.asarray(timetags, dtype=WORD_DTYPE).ravel()
     if with_keyword:
-        head = np.array([keyword, overflow], dtype=WORD_DTYPE)
+        head = np.array([KEYWORD, overflow], dtype=WORD_DTYPE)
         return np.concatenate([head, tags])
     return tags
 
 
-def encode_scan(overflow: int, start: int, end: int,
-                keyword: int = KEYWORD) -> np.ndarray:
-    return np.array([keyword, overflow, start, end], dtype=WORD_DTYPE)
+def encode_scan(overflow: int, start: int, end: int) -> np.ndarray:
+    return np.array([KEYWORD, overflow, start, end], dtype=WORD_DTYPE)
 
 
-def encode_response(status: Status, overflow: int, payload=None,
-                    keyword: int = KEYWORD) -> np.ndarray:
+def encode_response(status: Status, overflow: int,
+                    payload=None) -> np.ndarray:
     payload = (np.zeros(0, dtype=WORD_DTYPE) if payload is None
                else np.asarray(payload, dtype=WORD_DTYPE).ravel())
-    head = np.array([keyword, int(status), overflow, payload.size],
+    head = np.array([KEYWORD, int(status), overflow, payload.size],
                     dtype=WORD_DTYPE)
     return np.concatenate([head, payload])
 

@@ -13,6 +13,7 @@ so acquisition threads always see a consistent snapshot.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import socketserver
 import threading
@@ -23,11 +24,10 @@ import numpy as np
 
 from . import protocol as proto
 from .buffer import DEFAULT_PAGES, OVERFLOW_MASK, PAGE_WORDS, RingBuffer
-from .words import (ADC_MAX, ADC_MIN, PLACEHOLDER_WORD, WORD_DTYPE,
-                    pack_words, sample_view, unpack_words)
+from .words import (ADC_MAX, ADC_MIN, HALF_DTYPE, PLACEHOLDER_WORD,
+                    WORD_DTYPE, pack_words, sample_view, unpack_words)
 
-INT16_MIN = -32768
-INT16_MAX = 32767
+_HALF_RANGE = np.iinfo(HALF_DTYPE)     # what an integrated sum saturates at
 # SET INTWIN ceiling: one page of words per integrated sample
 MAX_INTEGRATION_WINDOW = PAGE_WORDS
 
@@ -218,11 +218,12 @@ class HomodyneServer:
         acc = sample_view(raw).astype(np.int64)
         for offset in range(1, window):
             acc += sample_view(self.buffer.read(tags + offset))
-        sat = np.any((acc < INT16_MIN) | (acc > INT16_MAX), axis=-1)
+        lo, hi = _HALF_RANGE.min, _HALF_RANGE.max
+        sat = np.any((acc < lo) | (acc > hi), axis=-1)
         if np.any(sat):
             self._saturation_events += int(np.count_nonzero(sat))
         words = np.empty_like(raw)
-        sample_view(words)[...] = np.clip(acc, INT16_MIN, INT16_MAX, out=acc)
+        sample_view(words)[...] = np.clip(acc, lo, hi, out=acc)
         return words
 
     def _apply_slope_check(self, tags: np.ndarray, raw: np.ndarray,
@@ -385,64 +386,88 @@ class HomodyneServer:
 # socket front end
 # ---------------------------------------------------------------------------
 
+class _DataHandler(socketserver.BaseRequestHandler):
+    def handle(self):
+        core = self.server.core
+        conn = ConnectionState()
+        # a keyword header and one timetag per buffer word at most
+        max_words = core.buffer.capacity + proto.REQUEST_HEADER_WORDS
+        while True:
+            try:
+                body = proto.read_frame(self.request, max_words)
+            except proto.ProtocolError as err:
+                # oversized: answer, close, never read the body
+                reply = proto.encode_response(
+                    err.status, core.buffer.overflow_number)
+                self.request.sendall(proto.frame_message(reply))
+                break
+            except ConnectionError:
+                break
+            if body is None:
+                break
+            reply = core.handle_request(body, conn)
+            self.request.sendall(proto.frame_message(reply))
+
+
+class _ControlHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        for raw in self.rfile:
+            line = raw.decode("ascii", "replace").strip()
+            if not line:
+                continue
+            reply = self.server.core.control(line)
+            self.wfile.write((reply + "\n").encode("ascii"))
+            self.wfile.flush()
+
+
+class _TcpServer(socketserver.ThreadingTCPServer):
+    """Thread-per-connection TCP server for `core` that keeps its open
+    connections and their handler threads, so close() can end both."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, address, handler, core: HomodyneServer):
+        super().__init__(address, handler)
+        self.core = core
+        self._open = {}                   # connection socket -> handler
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        th = threading.Thread(target=self.process_request_thread,
+                              args=(request, client_address), daemon=True)
+        with self._open_lock:
+            self._open[request] = th
+        th.start()
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def close(self):
+        """Close the listening socket, shut every open connection down so
+        its handler sees end of stream, and join the handlers."""
+        self.server_close()
+        with self._open_lock:
+            live = list(self._open.items())
+        for sock, th in live:
+            with contextlib.suppress(OSError):  # its handler closed it
+                sock.shutdown(socket.SHUT_RDWR)
+            th.join()
+
+
 class HdsSocketServer:
     """TCP front end: a binary data port and a line-oriented control port."""
 
     def __init__(self, server: HomodyneServer, host: str = "127.0.0.1",
                  data_port: int = 0, control_port: int = 0):
-        self.core = server
-        self._data_srv = self._make_data_server(host, data_port)
-        self._ctrl_srv = self._make_control_server(host, control_port)
+        self._data_srv = _TcpServer((host, data_port), _DataHandler, server)
+        self._ctrl_srv = _TcpServer((host, control_port), _ControlHandler,
+                                    server)
         self.data_address = self._data_srv.server_address
         self.control_address = self._ctrl_srv.server_address
         self._threads = []
-
-    def _make_data_server(self, host, port):
-        core = self.core
-
-        class DataHandler(socketserver.BaseRequestHandler):
-            def handle(self):
-                conn = ConnectionState()
-                # a keyword header and one timetag per buffer word at most
-                max_words = core.buffer.capacity + proto.REQUEST_HEADER_WORDS
-                while True:
-                    try:
-                        body = proto.read_frame(self.request, max_words)
-                    except proto.ProtocolError as err:
-                        # oversized: answer, close, never read the body
-                        reply = proto.encode_response(
-                            err.status, core.buffer.overflow_number)
-                        self.request.sendall(proto.frame_message(reply))
-                        break
-                    except ConnectionError:
-                        break
-                    if body is None:
-                        break
-                    reply = core.handle_request(body, conn)
-                    self.request.sendall(proto.frame_message(reply))
-
-        srv = socketserver.ThreadingTCPServer((host, port), DataHandler)
-        srv.daemon_threads = True
-        srv.allow_reuse_address = True
-        return srv
-
-    def _make_control_server(self, host, port):
-        core = self.core
-
-        class ControlHandler(socketserver.StreamRequestHandler):
-            def handle(self):
-                for raw in self.rfile:
-                    line = raw.decode("ascii", "replace").strip()
-                    if not line:
-                        continue
-                    reply = core.control(line)
-                    self.wfile.write((reply + "\n").encode("ascii"))
-                    self.wfile.flush()
-
-        srv = socketserver.ThreadingTCPServer((host, port), ControlHandler)
-        srv.daemon_threads = True
-        srv.allow_reuse_address = True
-        return srv
 
     def start(self):
         for srv in (self._data_srv, self._ctrl_srv):
@@ -452,10 +477,10 @@ class HdsSocketServer:
         return self
 
     def stop(self):
-        """Stop the serve loops and join their threads; each connection
-        handler ends when its client closes."""
+        """Stop the serve loops, end the open connections and join every
+        thread, whether or not clients are still connected."""
         for srv in (self._data_srv, self._ctrl_srv):
             srv.shutdown()
-            srv.server_close()
+            srv.close()
         for th in self._threads:
             th.join()

@@ -33,10 +33,9 @@ def pack_words(adc_a, adc_b) -> np.ndarray:
     """Pack homodyne (a) and phase-drive (b) samples into 32-bit words."""
     a = np.asarray(adc_a, dtype=np.int64)
     b = np.asarray(adc_b, dtype=np.int64)
-    if a.size and (a.min() < ADC_MIN or a.max() > ADC_MAX):
-        raise ValueError("homodyne sample outside the 14-bit range")
-    if b.size and (b.min() < ADC_MIN or b.max() > ADC_MAX):
-        raise ValueError("phase-drive sample outside the 14-bit range")
+    for x, name in ((a, "homodyne"), (b, "phase-drive")):
+        if x.size and (x.min() < ADC_MIN or x.max() > ADC_MAX):
+            raise ValueError(f"{name} sample outside the 14-bit range")
     words = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=WORD_DTYPE)
     view = sample_view(words)
     view[..., HOMODYNE], view[..., DRIVE] = a, b

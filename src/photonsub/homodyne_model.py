@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .fock_core import TwoModeState
+from .hds.words import ADC_MAX as ADC_CODE_MAX, ADC_MIN as ADC_CODE_MIN
 
 __all__ = [
     "PovmElement",
@@ -32,9 +33,9 @@ __all__ = [
     "ADC_CODE_MAX",
 ]
 
-ADC_CODE_MIN = -8192
-ADC_CODE_MAX = 8191
-_ADC_SPAN = ADC_CODE_MAX - ADC_CODE_MIN  # 16383
+_ADC_CODES = ADC_CODE_MAX - ADC_CODE_MIN + 1
+GRID_STEP, GRID_MASS_TOL = 0.02, 1e-4   # sampler cell width, missing mass
+SAMPLE_CHUNK = 2048     # draws per rotated-state batch in sample_batch
 
 
 class GridMassError(ValueError):
@@ -66,10 +67,20 @@ def oscillator_wavefunction(n: int, x):
     return hermite_functions(n, x)[n]
 
 
-def quadrature_eigenvector(x: float, theta: float, n_c: int) -> np.ndarray:
-    """<n|x_theta> = e^{-i n theta} psi_n(x) for n = 0..n_c."""
-    psi = hermite_functions(n_c, np.float64(x))
-    return psi * np.exp(-1j * theta * np.arange(n_c + 1))
+def quadrature_eigenvector(x, theta, n_c: int) -> np.ndarray:
+    """<n|x_theta> = e^{-i n theta} psi_n(x) for n = 0..n_c on the first
+    axis; x and theta are scalars or equal-shape arrays."""
+    return hermite_functions(n_c, x) * np.exp(
+        -1j * np.multiply.outer(np.arange(n_c + 1), theta))
+
+
+def two_mode_vectors(x1, x2, theta1, theta2, n_c: int) -> np.ndarray:
+    """Rank-1 two-mode POVM factors <n, m|x1_theta1, x2_theta2> on the last
+    axis (index n*(n_c+1)+m), one row per record for array input."""
+    v1 = quadrature_eigenvector(x1, theta1, n_c)
+    v2 = quadrature_eigenvector(x2, theta2, n_c)
+    v = (v1[:, None] * v2[None, :]).reshape((-1,) + v1.shape[1:])
+    return np.moveaxis(v, 0, -1).copy()
 
 
 @dataclass
@@ -99,8 +110,7 @@ def joint_probability(state: TwoModeState, x1: float, x2: float,
 
     Rank-1 structure makes this <v1 v2| rho |v1 v2>.
     """
-    v = np.kron(quadrature_eigenvector(x1, theta1, state.n_c),
-                quadrature_eigenvector(x2, theta2, state.n_c))
+    v = two_mode_vectors(x1, x2, theta1, theta2, state.n_c)
     p = float(np.real(v.conj() @ state.matrix @ v))
     return 0.0 if -1e-14 < p < 0.0 else p
 
@@ -113,7 +123,7 @@ class QuadratureSampler:
     """Inverse-CDF sampler for joint homodyne outcomes of a two-mode state.
 
     Cell probabilities come from the joint density evaluated on a square
-    grid (default [-6, 6], step 0.02); a draw picks the x1 cell from the
+    grid (default [-6, 6], step GRID_STEP); a draw picks the x1 cell from the
     grid marginal, the x2 cell from that row, and jitters uniformly within
     the cell.  Phase dependence enters by rotating the state with the
     diagonal phase unitary, so the real Hermite-product tables are built
@@ -121,11 +131,9 @@ class QuadratureSampler:
     """
 
     def __init__(self, state: TwoModeState, grid_min: float = -6.0,
-                 grid_max: float = 6.0, step: float = 0.02,
-                 mass_tol: float = 1e-4):
+                 grid_max: float = 6.0):
         self.state = state
-        self.step = float(step)
-        self.grid = np.arange(grid_min, grid_max + step / 2, step)
+        self.grid = np.arange(grid_min, grid_max + GRID_STEP / 2, GRID_STEP)
         d = state.n_c + 1
         psi = hermite_functions(state.n_c, self.grid)          # (d, G)
         # G1b[g, n*d+n'] = psi_n(x_g) psi_n'(x_g)
@@ -135,7 +143,7 @@ class QuadratureSampler:
         # rho[(n, m), (n', m')] stored as [n, n', m, m']
         self._matrix_pairs = np.ascontiguousarray(
             state.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3))
-        self._check_mass(mass_tol)
+        self._check_mass()
 
     def _rotated(self, theta1, theta2, out=None) -> np.ndarray:
         """State conjugated by e^{i(n theta1 + m theta2)} per phase pair,
@@ -146,12 +154,12 @@ class QuadratureSampler:
         q = np.multiply(q, ph.conj()[:, None, :, None, :], out=q)
         return q.reshape((-1,) + self.state.matrix.shape)
 
-    def _check_mass(self, tol: float):
+    def _check_mass(self):
         phases = ((0.0, 0.0), (np.pi / 3, 1.1), (1.9, 0.4))
         q = self._rotated(*np.transpose(phases))
         for (th1, th2), qk in zip(phases, q):
-            total = float(np.real(self._gb_sum @ qk @ self._gb_sum)) * self.step ** 2
-            if total < 1.0 - tol:
+            total = float(np.real(self._gb_sum @ qk @ self._gb_sum)) * GRID_STEP ** 2
+            if total < 1.0 - GRID_MASS_TOL:
                 raise GridMassError(
                     f"grid holds {total:.6f} of unit mass at phases "
                     f"({th1:.2f}, {th2:.2f}); widen the grid")
@@ -161,10 +169,9 @@ class QuadratureSampler:
         x1, x2 = self.sample_batch(np.atleast_1d(theta1), np.atleast_1d(theta2), rng)
         return float(x1[0]), float(x2[0])
 
-    def sample_batch(self, theta1, theta2, rng: np.random.Generator,
-                     chunk: int = 2048):
-        """Vectorized draws, one per phase pair.  Deterministic given the
-        generator state and fixed chunk size."""
+    def sample_batch(self, theta1, theta2, rng: np.random.Generator):
+        """Vectorized draws, one per phase pair, SAMPLE_CHUNK at a time.
+        Deterministic given the generator state."""
         theta1 = np.asarray(theta1, dtype=float)
         theta2 = np.asarray(theta2, dtype=float)
         if theta1.shape != theta2.shape:
@@ -173,10 +180,10 @@ class QuadratureSampler:
         x1 = np.empty(n)
         x2 = np.empty(n)
         # one rotated-state buffer reused by every chunk
-        q_buf = np.empty((min(chunk, n),) + self._matrix_pairs.shape,
+        q_buf = np.empty((min(SAMPLE_CHUNK, n),) + self._matrix_pairs.shape,
                          dtype=complex)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
+        for lo in range(0, n, SAMPLE_CHUNK):
+            hi = min(lo + SAMPLE_CHUNK, n)
             m = hi - lo
             q = self._rotated(theta1[lo:hi], theta2[lo:hi], out=q_buf[:m])
             # marginal over x2: row masses of the grid joint
@@ -195,16 +202,15 @@ class QuadratureSampler:
             u2 = rng.random(m) * cdf2[:, -1]
             i2 = np.count_nonzero(cdf2 < u2[:, None], axis=1)
             i2 = np.minimum(i2, self.grid.size - 1)
-            x1[lo:hi] = self.grid[i1] + (rng.random(m) - 0.5) * self.step
-            x2[lo:hi] = self.grid[i2] + (rng.random(m) - 0.5) * self.step
+            x1[lo:hi] = self.grid[i1] + (rng.random(m) - 0.5) * GRID_STEP
+            x2[lo:hi] = self.grid[i2] + (rng.random(m) - 0.5) * GRID_STEP
         return x1, x2
 
 
 def sample_quadratures(state: TwoModeState, theta1: float, theta2: float,
                        rng_seed) -> tuple:
     """Single joint draw; build a QuadratureSampler directly for batches."""
-    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
-           else np.random.default_rng(rng_seed))
+    rng = np.random.default_rng(rng_seed)     # a Generator passes through
     return QuadratureSampler(state).sample(theta1, theta2, rng)
 
 
@@ -253,10 +259,10 @@ class PhaseDrive:
         frac_up = u / L
         theta = (2 * np.pi * frac_up + self.phase_offset) % (2 * np.pi)
         # 16384 code steps over the ramp so no code aliases across the wrap
-        code_up = np.floor(ADC_CODE_MIN + (_ADC_SPAN + 1) * frac_up)
+        code_up = np.floor(ADC_CODE_MIN + _ADC_CODES * frac_up)
         v = u - L + 1
         code_down = ADC_CODE_MAX - np.floor(
-            (_ADC_SPAN + 1) * v / self.flyback_samples)
+            _ADC_CODES * v / self.flyback_samples)
         code = np.where(in_ramp, code_up, code_down).astype(np.int64)
         np.clip(code, ADC_CODE_MIN, ADC_CODE_MAX, out=code)
         return np.where(in_ramp, theta, 0.0), code
@@ -270,7 +276,7 @@ class PhaseDrive:
     def theta_from_code(self, code):
         """Inverse of the ramp mapping: code -> theta in [0, 2 pi)."""
         code = np.asarray(code, dtype=float)
-        return ((code - ADC_CODE_MIN) / (_ADC_SPAN + 1) * 2 * np.pi
+        return ((code - ADC_CODE_MIN) / _ADC_CODES * 2 * np.pi
                 + self.phase_offset) % (2 * np.pi)
 
 

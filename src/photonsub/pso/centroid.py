@@ -20,6 +20,7 @@ TRIGGER_BINS = (4, 5, 6)
 SUBBIN_FIELD_BITS = 3
 SUM_SHIFT = 27
 SUM_MASK = 0x1F
+_SHIFTS = (SUBBIN_FIELD_BITS * np.arange(9)).astype(np.uint64)
 
 
 def weighted_average_subbin(counts) -> int | None:
@@ -36,14 +37,7 @@ def weighted_average_subbin(counts) -> int | None:
     if total == 0:
         return None
     num = int(np.dot(np.arange(9), combined))
-    # threshold comparison ladder instead of a divide
-    bin_idx = 0
-    for k in range(1, 9):
-        if num >= k * total:
-            bin_idx = k
-        else:
-            break
-    return bin_idx
+    return int(centroid_bins([num], [total])[0])
 
 
 def centroid_bins(numerators, totals) -> np.ndarray:
@@ -67,10 +61,9 @@ def pack_signature(a_counts, b_counts) -> np.ndarray:
     sum_b = np.minimum(b.sum(axis=1), SUM_MASK)
     a = np.minimum(a, 7)
     b = np.minimum(b, 7)
-    shifts = (SUBBIN_FIELD_BITS * np.arange(9)).astype(np.uint64)
-    lo = (a << shifts[None, :]).sum(axis=1, dtype=np.uint64) \
+    lo = (a << _SHIFTS[None, :]).sum(axis=1, dtype=np.uint64) \
         | (sum_a << np.uint64(SUM_SHIFT))
-    hi = (b << shifts[None, :]).sum(axis=1, dtype=np.uint64) \
+    hi = (b << _SHIFTS[None, :]).sum(axis=1, dtype=np.uint64) \
         | (sum_b << np.uint64(SUM_SHIFT))
     word = lo | (hi << np.uint64(32))
     return word if word.size > 1 else word.reshape(word.size)
@@ -81,9 +74,8 @@ def unpack_signature(words):
     w = np.atleast_1d(np.asarray(words, dtype=np.uint64))
     lo = w & np.uint64(0xFFFFFFFF)
     hi = w >> np.uint64(32)
-    shifts = (SUBBIN_FIELD_BITS * np.arange(9)).astype(np.uint64)
-    a = ((lo[:, None] >> shifts[None, :]) & np.uint64(7)).astype(np.int64)
-    b = ((hi[:, None] >> shifts[None, :]) & np.uint64(7)).astype(np.int64)
+    a = ((lo[:, None] >> _SHIFTS[None, :]) & np.uint64(7)).astype(np.int64)
+    b = ((hi[:, None] >> _SHIFTS[None, :]) & np.uint64(7)).astype(np.int64)
     sum_a = ((lo >> np.uint64(SUM_SHIFT)) & np.uint64(SUM_MASK)).astype(np.int64)
     sum_b = ((hi >> np.uint64(SUM_SHIFT)) & np.uint64(SUM_MASK)).astype(np.int64)
     return a, b, sum_a, sum_b

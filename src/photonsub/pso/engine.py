@@ -20,12 +20,10 @@ import numpy as np
 from ..hds import protocol as hds_protocol
 from ..hds.words import is_placeholder, unpack_words
 from .centroid import signature_class
-from .pipeline import (EventBatch, coincidence_gate, coincidence_pipeline,
-                       empty_events, hold_time_filter, seed_rejection_filter,
-                       zero_detection_tags)
+from .pipeline import (TREE_DETECTORS, EventBatch, coincidence_gate,
+                       coincidence_pipeline, empty_events, hold_time_filter,
+                       seed_rejection_filter, zero_detection_tags)
 from .records import DatasetWriter, RunReport, build_records
-
-QUERY_BATCH_WORDS = 16_000
 
 HERALD_DTYPE = np.dtype([("emit_subbin", "<i8"), ("signature", "<u8")])
 
@@ -41,7 +39,13 @@ class PsoRunConfig:
     seed_window_width: int = 0
     seed_window_period: int = 1000
     zero_detection_rate: int = 0          # per overflow period
-    max_class_sum: int = 3                # detector tree depth per side
+
+    def __post_init__(self):
+        """Each filter's own setting checks, run here on no events."""
+        hold_time_filter((), self.hold_bins)
+        seed_rejection_filter((), self.seed_window_offset,
+                              self.seed_window_width, self.seed_window_period)
+        zero_detection_tags(self.zero_detection_rate, (0, 0), 1, (), 0, None)
 
 
 class PsoConsole:
@@ -134,8 +138,7 @@ class PsoEngine:
         self._zero_rng = zero_rng or np.random.default_rng(0)
 
     # ------------------------------------------------------------------
-    def start_run(self, offset_a: int = 0, offset_b: int = 0,
-                  slope_check: bool = True):
+    def start_run(self, offset_a: int = 0, offset_b: int = 0):
         """Start-pulse handshake: zero both server clocks, arm the
         tomography query mode, and verify the memory-overflow numbers came
         up aligned.
@@ -147,14 +150,13 @@ class PsoEngine:
                                (self.client_b, offset_b)):
             client.start_run(offset)
             client.set_config(mode="samples", integration_window=1,
-                              slope_check=slope_check)
+                              slope_check=True)
         sa = self.client_a.status()
         sb = self.client_b.status()
         if sa["overflow_number"] != sb["overflow_number"]:
             raise RuntimeError("servers came up with misaligned overflow numbers")
 
-    def collect_shot_noise(self, epoch: int, span, n: int,
-                           rng: np.random.Generator):
+    def collect_shot_noise(self, span, n: int, rng: np.random.Generator):
         """Vacuum (shutter-closed) calibration samples from both servers.
 
         span is a global coarse-tag window inside the sealed half; returns
@@ -278,8 +280,7 @@ class PsoEngine:
                 "query batch spans a memory-overflow boundary")
         ovf = int(epochs[0])
         buf_tags = tags % self.capacity
-        return client.query_samples_batched(ovf, buf_tags,
-                                            batch=QUERY_BATCH_WORDS)
+        return client.query_samples_batched(ovf, buf_tags)
 
     def _query_and_triage(self, events: EventBatch, ztags: np.ndarray,
                           cfg: PsoRunConfig):
@@ -314,7 +315,7 @@ class PsoEngine:
                              a_pair, b_pair)
         sa, sb = signature_class(sig)
         for cls in sorted({(int(x), int(y)) for x, y in zip(sa, sb)}):
-            if cls[0] > cfg.max_class_sum or cls[1] > cfg.max_class_sum:
+            if max(cls) > TREE_DETECTORS:
                 continue
             added = self.writer.add(cls, recs[(sa == cls[0]) & (sb == cls[1])])
             self.report.class_counts[cls] = self.report.class_counts.get(

@@ -22,8 +22,11 @@ import numpy as np
 from .centroid import TRIGGER_BINS, centroid_bins, pack_signature
 
 PIPELINE_DEPTH_SUBBINS = 27
-SUBBINS_PER_COARSE = 3
+SUBBINS_PER_COARSE = 3        # 300-MHz sub-bins per 100-MHz coarse bin
+TREE_DETECTORS = 3            # detectors per side: at most 3 counts register
 ZERO_DETECTION_RATE_CAP = 2 ** 17
+_EVENT_FIELDS = ("alignment", "coarse", "signature", "emit_subbin", "sum_a",
+                 "sum_b")
 
 
 @dataclass
@@ -42,9 +45,8 @@ class EventBatch:
         return self.alignment.size
 
     def take(self, mask_or_idx) -> "EventBatch":
-        return EventBatch(*(getattr(self, f)[mask_or_idx] for f in
-                            ("alignment", "coarse", "signature",
-                             "emit_subbin", "sum_a", "sum_b")))
+        return EventBatch(*(getattr(self, f)[mask_or_idx]
+                            for f in _EVENT_FIELDS))
 
     @staticmethod
     def concatenate(batches):
@@ -52,8 +54,7 @@ class EventBatch:
         if not batches:
             return empty_events()
         return EventBatch(*(np.concatenate([getattr(b, f) for b in batches])
-                            for f in ("alignment", "coarse", "signature",
-                                      "emit_subbin", "sum_a", "sum_b")))
+                            for f in _EVENT_FIELDS))
 
 
 def empty_events() -> EventBatch:
@@ -62,10 +63,16 @@ def empty_events() -> EventBatch:
                       z.copy(), z.copy())
 
 
-def _coarse_of_alignment(s):
-    # the trigger flag crosses into the 100-MHz domain at a fixed offset
-    # from the window start; calibration absorbs the absolute value
-    return (s + 4) // SUBBINS_PER_COARSE
+def _events(s, signature, sum_a, sum_b) -> EventBatch:
+    """Events whose windows start at sub-bins s."""
+    return EventBatch(
+        alignment=s,
+        # the trigger flag crosses into the 100-MHz domain at a fixed offset
+        # from the window start; calibration absorbs the absolute value
+        coarse=(s + 4) // SUBBINS_PER_COARSE,
+        signature=signature,
+        emit_subbin=s + PIPELINE_DEPTH_SUBBINS,
+        sum_a=sum_a, sum_b=sum_b)
 
 
 def coincidence_pipeline(subbins, sides) -> EventBatch:
@@ -81,46 +88,20 @@ def coincidence_pipeline(subbins, sides) -> EventBatch:
         raise ValueError("subbins and sides must have equal shapes")
     if subbins.size == 0:
         return empty_events()
-    order = np.argsort(subbins, kind="stable")
-    subbins = subbins[order]
-    sides = sides[order]
-
-    # aggregate counts per unique (subbin, side)
-    key = subbins * 2 + sides
-    uniq, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
-    upos = uniq >> 1
-    uside = uniq & 1
-    # positions with any counts, cluster split where gaps exceed the window
-    pos_sorted = np.unique(upos)
+    # counts per occupied sub-bin and side; clusters split where gaps
+    # exceed the window
+    pos_sorted, idx = np.unique(subbins, return_inverse=True)
+    ca = np.bincount(idx[sides == 0], minlength=pos_sorted.size)
+    cb = np.bincount(idx[sides == 1], minlength=pos_sorted.size)
     gap_break = np.nonzero(np.diff(pos_sorted) > 8)[0]
     cluster_starts = np.concatenate(([0], gap_break + 1))
     cluster_ends = np.concatenate((gap_break + 1, [pos_sorted.size]))
 
-    single_pos = []
-    single_a = []
-    single_b = []
-    general = []
-    # map position -> (count_a, count_b)
-    ca = np.zeros(pos_sorted.size, dtype=np.int64)
-    cb = np.zeros(pos_sorted.size, dtype=np.int64)
-    idx_of = np.searchsorted(pos_sorted, upos)
-    np.add.at(ca, idx_of[uside == 0], counts[uside == 0])
-    np.add.at(cb, idx_of[uside == 1], counts[uside == 1])
-
-    for st, en in zip(cluster_starts, cluster_ends):
-        if en - st == 1:
-            single_pos.append(pos_sorted[st])
-            single_a.append(ca[st])
-            single_b.append(cb[st])
-        else:
-            general.append((pos_sorted[st:en], ca[st:en], cb[st:en]))
-
-    batches = []
-    if single_pos:
-        batches.append(_single_position_events(
-            np.array(single_pos), np.array(single_a), np.array(single_b)))
-    for pos, a, b in general:
-        batches.append(_scan_cluster(pos, a, b))
+    single = cluster_ends - cluster_starts == 1
+    one = cluster_starts[single]
+    batches = [_single_position_events(pos_sorted[one], ca[one], cb[one])]
+    for st, en in zip(cluster_starts[~single], cluster_ends[~single]):
+        batches.append(_scan_cluster(pos_sorted[st:en], ca[st:en], cb[st:en]))
     out = EventBatch.concatenate(batches)
     order = np.argsort(out.alignment, kind="stable")
     return out.take(order)
@@ -129,20 +110,11 @@ def coincidence_pipeline(subbins, sides) -> EventBatch:
 def _single_position_events(pos, ca, cb) -> EventBatch:
     """All counts at one sub-bin: the centroid equals the position index,
     which first enters the trigger set at window index 6."""
-    s = pos - 6
     a9 = np.zeros((pos.size, 9), dtype=np.int64)
     b9 = np.zeros((pos.size, 9), dtype=np.int64)
     a9[:, 6] = ca
     b9[:, 6] = cb
-    sig = np.atleast_1d(pack_signature(a9, b9))
-    return EventBatch(
-        alignment=s,
-        coarse=_coarse_of_alignment(s),
-        signature=sig,
-        emit_subbin=s + PIPELINE_DEPTH_SUBBINS,
-        sum_a=ca.copy(),
-        sum_b=cb.copy(),
-    )
+    return _events(pos - 6, pack_signature(a9, b9), ca, cb)
 
 
 def _scan_cluster(pos, ca, cb) -> EventBatch:
@@ -171,15 +143,10 @@ def _scan_cluster(pos, ca, cb) -> EventBatch:
             sb.append(int(wb.sum()))
             a[s:s + 9] = 0
             b[s:s + 9] = 0
-    s = np.asarray(al, dtype=np.int64)
-    return EventBatch(
-        alignment=s,
-        coarse=_coarse_of_alignment(s),
-        signature=np.asarray(sg, dtype=np.uint64),
-        emit_subbin=s + PIPELINE_DEPTH_SUBBINS,
-        sum_a=np.asarray(sa, dtype=np.int64),
-        sum_b=np.asarray(sb, dtype=np.int64),
-    )
+    return _events(np.asarray(al, dtype=np.int64),
+                   np.asarray(sg, dtype=np.uint64),
+                   np.asarray(sa, dtype=np.int64),
+                   np.asarray(sb, dtype=np.int64))
 
 
 def coincidence_gate(events: EventBatch, coincidence_only: bool) -> np.ndarray:

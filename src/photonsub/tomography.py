@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock_core import TwoModeState
-from .homodyne_model import hermite_functions
+from .homodyne_model import two_mode_vectors
 
 __all__ = [
     "TomographyDataset",
@@ -92,13 +92,8 @@ class TomographyDataset:
 
     def measurement_vectors(self) -> np.ndarray:
         """Row i is the rank-1 POVM factor of record i, shape (N, D)."""
-        d = self.n_c + 1
-        ns = np.arange(d)
-        v1 = (hermite_functions(self.n_c, self.x1)
-              * np.exp(-1j * ns[:, None] * self.theta1[None, :]))
-        v2 = (hermite_functions(self.n_c, self.x2)
-              * np.exp(-1j * ns[:, None] * self.theta2[None, :]))
-        return (v1[:, None, :] * v2[None, :, :]).reshape(d * d, self.size).T.copy()
+        return two_mode_vectors(self.x1, self.x2, self.theta1, self.theta2,
+                                self.n_c)
 
 
 @dataclass
@@ -225,11 +220,10 @@ def reconstruct(data: TomographyDataset, max_iterations: int = 2000,
     )
 
 
-def rolling_variance(data: TomographyDataset, window: int = 500,
-                     sign: int = +1):
-    """Sliding-window variance of the combined quadrature (x1 + sign*x2)
+def rolling_variance(data: TomographyDataset, window: int = 500):
+    """Sliding-window variance of the combined quadrature (x1 + x2)
     / sqrt(2), whose variance tracks the two-mode squeezing, sorted by the
-    joint phase (theta1 + sign*theta2) mod 2 pi.
+    joint phase (theta1 + theta2) mod 2 pi.
 
     Returns (phase_centers, variances), each of length N - window + 1.
     """
@@ -238,11 +232,9 @@ def rolling_variance(data: TomographyDataset, window: int = 500,
         raise ValueError("window must be at least 2")
     if window > n:
         raise ValueError(f"window {window} exceeds dataset size {n}")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    key = (data.theta1 + sign * data.theta2) % (2 * np.pi)
+    key = (data.theta1 + data.theta2) % (2 * np.pi)
     order = np.argsort(key, kind="stable")
-    q = ((data.x1 + sign * data.x2) / np.sqrt(2.0))[order]
+    q = ((data.x1 + data.x2) / np.sqrt(2.0))[order]
     key = key[order]
     c1 = np.cumsum(np.concatenate(([0.0], q)))
     c2 = np.cumsum(np.concatenate(([0.0], q * q)))

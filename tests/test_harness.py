@@ -39,6 +39,14 @@ class TestConfig:
             hx.ExperimentConfig(server_offset_a=5).validate()
         with pytest.raises(ValueError):
             hx.ExperimentConfig(class_targets={(1, 1): 0}).validate()
+        # the orchestrator's own settings are checked at load, before any
+        # calibration runs
+        with pytest.raises(ValueError):
+            hx.ExperimentConfig(seed_window=(0, 2000, 1000)).validate()
+        with pytest.raises(ValueError):
+            hx.ExperimentConfig(hold_bins=-1).validate()
+        with pytest.raises(ValueError):
+            hx.ExperimentConfig(zero_detection_rate=2 ** 17 + 1).validate()
 
 
 class TestGeneratorStatistics:

@@ -503,12 +503,88 @@ class TestSocketTransport:
         finally:
             wire.stop()
 
+    def test_stop_ends_live_connections(self):
+        import threading
+        core = make_server(pages=16)
+        wire = hds.HdsSocketServer(core).start()
+        client = hds.HdsClient(hds.SocketTransport(
+            wire.data_address, wire.control_address))
+        try:
+            assert client.status()["overflow_number"] == 0
+            wire.stop()     # the client is still connected
+            handlers = [t.name for t in threading.enumerate()
+                        if "process_request_thread" in t.name]
+            assert handlers == []
+            with pytest.raises(ConnectionError):
+                client.status()
+        finally:
+            client.close()
+
     def test_in_process_transport_equivalent(self):
         core = make_server(pages=64)
         pattern = fill_first_half(core)
         client = hds.HdsClient(hds.InProcessTransport(core))
         out = client.query_samples(0, np.arange(30))
         np.testing.assert_array_equal(out, pattern[:30])
+
+
+@pytest.fixture(scope="class")
+def traced_wire():
+    """A 16-page server with a sealed first half behind its TCP front end,
+    with tracemalloc on while the class runs."""
+    import tracemalloc
+    core = make_server(pages=16)
+    fill_first_half(core)
+    wire = hds.HdsSocketServer(core).start()
+    tracemalloc.start()
+    yield core, wire
+    tracemalloc.stop()
+    wire.stop()
+
+
+class TestSocketFuzz:
+    """Random frames over a raw socket to a real HdsSocketServer."""
+
+    # herald-sized up to fragment-sized queries: keyword, overflow, tags
+    _QUERY = st.tuples(st.integers(0, 1), st.integers(0, 4000),
+                       st.integers(0, 2 ** 32 - 1)).map(
+        lambda a: [proto.KEYWORD, a[0], *np.random.default_rng(a[2]).integers(
+            0, TestProtocol._CAP16, size=a[1])])
+    # allocation bound per frame: a multiple of the frame plus its reply,
+    # plus a fixed allowance for the handler's per-request objects
+    BYTES_PER_WIRE_BYTE = 16
+    FIXED_BYTES = 64 * 1024
+
+    @given(frames=st.lists(st.one_of(st.lists(TestProtocol._WORD,
+                                              max_size=12), _QUERY),
+                           min_size=1, max_size=4),
+           window=st.integers(1, 4), slope=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_one_reply_per_frame_bounded_memory(self, traced_wire, frames,
+                                                window, slope):
+        import tracemalloc
+        core, wire = traced_wire
+        assert core.control(f"SET INTWIN {window}") == "OK"
+        assert core.control(f"SET SLOPECHK {int(slope)}") == "OK"
+        with socket.create_connection(wire.data_address,
+                                      timeout=5.0) as sock:
+            for frame in frames:
+                body = np.array(frame, dtype=np.uint32)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                sock.sendall(proto.frame_message(body))
+                reply = proto.read_frame(sock)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                status, _, payload = proto.decode_response(reply)
+                if status is proto.Status.OK:
+                    keyed = body.size and body[0] == proto.KEYWORD
+                    assert payload.size == body.size - (2 if keyed else 0)
+                wire_bytes = 4 * (body.size + reply.size + 2)
+                assert peak <= (self.BYTES_PER_WIRE_BYTE * wire_bytes
+                                + self.FIXED_BYTES)
+            # every frame had its reply: the server sends nothing more
+            sock.shutdown(socket.SHUT_WR)
+            assert proto.read_frame(sock) is None
 
 
 class TestConformance:

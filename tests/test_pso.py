@@ -273,6 +273,23 @@ class TestConsole:
         assert console.process_command("SET NOPE 1").startswith("ERR")
         assert console.process_command("").startswith("ERR")
 
+    @pytest.mark.parametrize("command", [
+        "SET SEEDWIN 0 2000 1000", "SET SEEDWIN 0 5 0", "SET HOLD -1",
+        "SET ZDR 999999999", "SET ZDR -5"])
+    def test_settings_the_filters_refuse_are_refused(self, tmp_path,
+                                                     command):
+        # a setting the next half's filters would raise on never reaches
+        # the engine: the console answers ERR and keeps its config
+        servers, engine = _loopback_setup(tmp_path)
+        status = engine.console.process_command("STATUS")
+        assert engine.console.process_command(command).startswith("ERR")
+        assert engine.console.process_command("STATUS") == status
+        assert engine.console.snapshot() == pso.PsoRunConfig()
+        coarse = np.arange(100, servers[0].buffer.half - 100, 50)
+        stats = engine.process_sealed_half(
+            0, np.repeat(coarse * 3 + 1, 2), np.tile([0, 1], coarse.size))
+        assert stats["events"] == coarse.size
+
 
 class TestRecords:
     def test_dtype_is_24_bytes(self):
@@ -423,7 +440,7 @@ class TestEngine:
 
     def test_shot_noise_collection(self, tmp_path):
         servers, engine = _loopback_setup(tmp_path)
-        a, b = engine.collect_shot_noise(0, (100, 1000), 200,
+        a, b = engine.collect_shot_noise((100, 1000), 200,
                                          np.random.default_rng(1))
         assert a.size == 200 and b.size == 200
 
