@@ -33,8 +33,8 @@ _STREAM_ZERO = 22
 
 # fixed trigger-pipeline offset: the coarse tag the trigger gives a lone
 # herald that the generator placed in coarse bin 0 (see pso.pipeline)
-PIPELINE_COARSE_OFFSET = int(
-    coincidence_pipeline(herald_subbins(np.zeros(1, np.int64)), [0]).coarse[0])
+PIPELINE_COARSE_OFFSET = int(coincidence_pipeline(
+    herald_subbins(np.zeros(1, np.int64)), [0])["coarse"][0])
 
 
 @dataclass
@@ -93,7 +93,7 @@ def run_delay_calibration(rig: Rig, pulses_wanted: int = 10_000):
         events = coincidence_pipeline(subbins, sides)
         # PSO tags live on the master clock; the server's start skew shows
         # up in the crossing tags and lands inside the measured delay
-        det_tags = events.coarse
+        det_tags = events["coarse"]
         client.set_config(mode="threshold", threshold=THERMAL_THRESHOLD_CODE,
                           slope="RISING")
         crossings = client.threshold_scan(0, 0, span)

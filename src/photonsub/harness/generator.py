@@ -249,7 +249,7 @@ class StreamGenerator:
 
     # ------------------------------------------------------------------
     def fill_epoch(self, server_a, server_b, epoch: int, half: int,
-                   plan: HeraldPlan | None):
+                   plan: HeraldPlan):
         """Generate and ingest one half-buffer of samples on both servers.
 
         The shutter window at the start of the run carries uncorrelated
@@ -261,7 +261,7 @@ class StreamGenerator:
         lo = epoch * half
         hi = lo + half
         # heralded overrides prepared once per epoch
-        if plan is not None and plan.coarse.size:
+        if plan.coarse.size:
             hx1, hx2 = self.heralded_draws(plan, stream_key=epoch)
             dark = plan.dark
             pos_a = plan.coarse + cfg.true_delay_a

@@ -30,6 +30,11 @@ from .words import (ADC_MAX, ADC_MIN, HALF_DTYPE, PLACEHOLDER_WORD,
 _HALF_RANGE = np.iinfo(HALF_DTYPE)     # what an integrated sum saturates at
 # SET INTWIN ceiling: one page of words per integrated sample
 MAX_INTEGRATION_WINDOW = PAGE_WORDS
+# seconds between a serve loop's checks for stop()
+SERVE_POLL_S = 0.05
+# words a threshold scan reads at a time, so a scan frame's memory is
+# bounded whatever range it names
+SCAN_BLOCK_WORDS = 16 * PAGE_WORDS
 
 
 @dataclass
@@ -251,20 +256,27 @@ class HomodyneServer:
             raise proto.IntegrityError("server integrity flags are set")
         if not (0 <= start < end <= self.buffer.capacity):
             raise proto.ProtocolError(proto.Status.RANGE, "bad scan range")
-        tags = np.arange(start, end, dtype=np.int64)
         what = f"scan [{start}, {end})"
-        mark = self._require_readable(overflow, tags, what)
+        # a tag's epoch is monotone in the tag and the two halves are the
+        # ends of the buffer, so the endpoints classify the whole range
+        mark = self._require_readable(overflow, np.array([start, end - 1]),
+                                      what)
         with self._lock:
             thr = self.config.threshold
             sign = self.config.slope_sign
-        a, _ = unpack_words(self.buffer.read(tags))
-        a = a.astype(np.int32)
-        if sign >= 0:
-            hits = (a[:-1] < thr) & (a[1:] >= thr)
-        else:
-            hits = (a[:-1] > thr) & (a[1:] <= thr)
+        hits = [np.zeros(0, dtype=np.int64)]
+        # blocks overlap by one word: a crossing needs its previous sample
+        for lo in range(start, end - 1, SCAN_BLOCK_WORDS):
+            a, _ = unpack_words(self.buffer.read(
+                np.arange(lo, min(lo + SCAN_BLOCK_WORDS + 1, end))))
+            a = a.astype(np.int32)
+            if sign >= 0:
+                hit = (a[:-1] < thr) & (a[1:] >= thr)
+            else:
+                hit = (a[:-1] > thr) & (a[1:] <= thr)
+            hits.append(lo + 1 + np.nonzero(hit)[0])
         self._require_unmoved(mark, what)
-        return (start + 1 + np.nonzero(hits)[0]).astype(WORD_DTYPE)
+        return np.concatenate(hits).astype(WORD_DTYPE)
 
     # ------------------------------------------------------------------
     # binary protocol entry
@@ -471,7 +483,8 @@ class HdsSocketServer:
 
     def start(self):
         for srv in (self._data_srv, self._ctrl_srv):
-            th = threading.Thread(target=srv.serve_forever, daemon=True)
+            th = threading.Thread(target=srv.serve_forever,
+                                  args=(SERVE_POLL_S,), daemon=True)
             th.start()
             self._threads.append(th)
         return self

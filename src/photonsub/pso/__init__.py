@@ -3,7 +3,7 @@
 from .centroid import (pack_signature, signature_class, unpack_signature,
                        weighted_average_subbin)
 from .engine import PsoConsole, PsoEngine, PsoRunConfig
-from .pipeline import (EventBatch, PIPELINE_DEPTH_SUBBINS, coincidence_gate,
+from .pipeline import (EVENT_DTYPE, PIPELINE_DEPTH_SUBBINS, coincidence_gate,
                        coincidence_pipeline, hold_time_filter,
                        seed_rejection_filter, zero_detection_tags)
 from .records import (RECORD_DTYPE, DatasetWriter, RunReport, build_records,
@@ -13,7 +13,7 @@ __all__ = [
     "weighted_average_subbin", "pack_signature", "unpack_signature",
     "signature_class",
     "PsoConsole", "PsoEngine", "PsoRunConfig",
-    "EventBatch", "PIPELINE_DEPTH_SUBBINS", "coincidence_pipeline",
+    "EVENT_DTYPE", "PIPELINE_DEPTH_SUBBINS", "coincidence_pipeline",
     "coincidence_gate", "hold_time_filter", "seed_rejection_filter",
     "zero_detection_tags",
     "RECORD_DTYPE", "DatasetWriter", "RunReport", "build_records",

@@ -20,8 +20,8 @@ import numpy as np
 from ..hds import protocol as hds_protocol
 from ..hds.words import is_placeholder, unpack_words
 from .centroid import signature_class
-from .pipeline import (TREE_DETECTORS, EventBatch, coincidence_gate,
-                       coincidence_pipeline, empty_events, hold_time_filter,
+from .pipeline import (EVENT_DTYPE, TREE_DETECTORS, coincidence_gate,
+                       coincidence_pipeline, hold_time_filter,
                        seed_rejection_filter, zero_detection_tags)
 from .records import DatasetWriter, RunReport, build_records
 
@@ -134,7 +134,7 @@ class PsoEngine:
         self.capacity = 2 * half_words
         self.report = RunReport()
         self.heralds: list = []
-        self._pending = empty_events()
+        self._pending = np.zeros(0, dtype=EVENT_DTYPE)
         self._zero_rng = zero_rng or np.random.default_rng(0)
 
     # ------------------------------------------------------------------
@@ -177,14 +177,14 @@ class PsoEngine:
         return out
 
     # ------------------------------------------------------------------
-    def process_pulses(self, subbins, sides) -> EventBatch:
+    def process_pulses(self, subbins, sides) -> np.ndarray:
         """Trigger stage: every centroid-valid window becomes an event and
         fires the herald output; gating happens downstream."""
         events = coincidence_pipeline(subbins, sides)
         self.report.triggered += events.size
-        if events.size:
-            self.heralds.append((events.emit_subbin.copy(),
-                                 events.signature.copy()))
+        # a packed copy: a field view would keep the whole events alive
+        self.heralds.append(
+            events[list(HERALD_DTYPE.names)].astype(HERALD_DTYPE))
         return events
 
     def process_sealed_half(self, epoch: int, subbins, sides,
@@ -203,30 +203,29 @@ class PsoEngine:
         self.report.gated_out += int(np.count_nonzero(~gate))
         # any detection activity within the hold window spoils a held
         # event, including activity the save gate would discard
-        keep = hold_time_filter(all_events.coarse, cfg.hold_bins,
+        keep = hold_time_filter(all_events["coarse"], cfg.hold_bins,
                                 cfg.keep_leader)
         self.report.hold_dropped += int(np.count_nonzero(gate & ~keep))
-        events = all_events.take(gate & keep)
+        events = all_events.compress(gate & keep)
 
-        keep = seed_rejection_filter(events.coarse, cfg.seed_window_offset,
+        keep = seed_rejection_filter(events["coarse"], cfg.seed_window_offset,
                                      cfg.seed_window_width,
                                      cfg.seed_window_period)
         self.report.seed_dropped += int(np.count_nonzero(~keep))
-        events = events.take(keep)
-
-        events = EventBatch.concatenate([self._pending, events])
+        events = np.concatenate([self._pending, events.compress(keep)],
+                                dtype=EVENT_DTYPE)
 
         win_lo = epoch * self.half
         win_hi = win_lo + self.half
         margin = max(abs(cfg.delay_a), abs(cfg.delay_b))
-        qa = events.coarse + cfg.delay_a
-        qb = events.coarse + cfg.delay_b
+        qa = events["coarse"] + cfg.delay_a
+        qb = events["coarse"] + cfg.delay_b
         fits = (qa >= win_lo) & (qa < win_hi) & (qb >= win_lo) & (qb < win_hi)
         future = (qa >= win_hi) | (qb >= win_hi)
         expired = ~fits & ~future
-        self._pending = events.take(future)
+        self._pending = events.compress(future)
         self.report.deferred += int(np.count_nonzero(expired))
-        events = events.take(fits)
+        events = events.compress(fits)
 
         # zero-detection sampling in the gaps between detection events of
         # any kind, gated or not
@@ -235,7 +234,7 @@ class PsoEngine:
                          win_hi - margin - cfg.hold_bins - 1)
         ztags, attempts = zero_detection_tags(
             cfg.zero_detection_rate, zero_span, self.capacity,
-            all_events.coarse, cfg.hold_bins, self._zero_rng)
+            all_events["coarse"], cfg.hold_bins, self._zero_rng)
         self.report.zero_detection_attempted += attempts
         self.report.zero_detection_emitted += ztags.size
 
@@ -244,21 +243,16 @@ class PsoEngine:
             self._query_and_triage(events, ztags, cfg)
         except (hds_protocol.StaleEpochError, hds_protocol.ActiveHalfError):
             # abort this half-buffer batch; events retry on the next epoch
-            self._pending = EventBatch.concatenate([self._pending, events])
+            self._pending = np.concatenate([self._pending, events],
+                                           dtype=EVENT_DTYPE)
             stats["aborted"] = True
         return stats
 
     def herald_stream(self) -> np.ndarray:
         """Every herald output so far as one (emit_subbin, signature)
         record array, consumable in-process or dumped to a file."""
-        out = np.zeros(sum(e.size for e, _ in self.heralds),
-                       dtype=HERALD_DTYPE)
-        pos = 0
-        for emit, sig in self.heralds:
-            out["emit_subbin"][pos:pos + emit.size] = emit
-            out["signature"][pos:pos + emit.size] = sig
-            pos += emit.size
-        return out
+        return np.concatenate([np.zeros(0, dtype=HERALD_DTYPE), *self.heralds],
+                              dtype=HERALD_DTYPE)
 
     def save_heralds(self, path):
         with open(path, "wb") as fh:
@@ -267,7 +261,7 @@ class PsoEngine:
     def flush_expired(self):
         """Drop events still pending at end of run (counted as deferred)."""
         self.report.deferred += self._pending.size
-        self._pending = empty_events()
+        self._pending = np.zeros(0, dtype=EVENT_DTYPE)
 
     # ------------------------------------------------------------------
     def _query_epoch_words(self, client, global_tags):
@@ -282,13 +276,13 @@ class PsoEngine:
         buf_tags = tags % self.capacity
         return client.query_samples_batched(ovf, buf_tags)
 
-    def _query_and_triage(self, events: EventBatch, ztags: np.ndarray,
+    def _query_and_triage(self, events: np.ndarray, ztags: np.ndarray,
                           cfg: PsoRunConfig):
-        all_coarse = np.concatenate([events.coarse, ztags])
+        all_coarse = np.concatenate([events["coarse"], ztags])
         if all_coarse.size == 0:
             return
         all_sig = np.concatenate([
-            events.signature, np.zeros(ztags.size, dtype=np.uint64)])
+            events["signature"], np.zeros(ztags.size, dtype=np.uint64)])
         order = np.argsort(all_coarse, kind="stable")
         all_coarse = all_coarse[order]
         all_sig = all_sig[order]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from photonsub import hds
 from photonsub.hds import protocol as proto
-from photonsub.hds.server import MAX_INTEGRATION_WINDOW
+from photonsub.hds.server import MAX_INTEGRATION_WINDOW, SCAN_BLOCK_WORDS
 from photonsub.homodyne_model import PhaseDrive
 
 
@@ -283,6 +283,40 @@ class TestThresholdScan:
         falling = srv.threshold_scan(0, 0, whole)
         assert rising.size == falling.size > 0
 
+    def test_full_half_scan_memory_bounded(self):
+        # one 16-byte scan frame over a whole half allocates per block,
+        # not per scanned word: a constant plus a multiple of the reply
+        import tracemalloc
+        srv, starts = self._pulse_server()
+        tracemalloc.start()
+        try:
+            reply = srv.handle_request(
+                proto.encode_scan(0, 0, srv.buffer.half),
+                hds.ConnectionState())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        status, _, payload = proto.decode_response(reply)
+        assert status is proto.Status.OK
+        np.testing.assert_array_equal(payload, starts)
+        assert peak < 2 ** 20 + 16 * reply.nbytes
+
+    def test_block_edges_keep_every_crossing(self):
+        # one-word spikes at the last word of a block and at the first word
+        # of one, whose previous sample lies in the block before; scans
+        # that start on and inside a block
+        srv = make_server(pages=128, mode="threshold", threshold=2000)
+        half = srv.buffer.half
+        block = SCAN_BLOCK_WORDS
+        edges = np.array([1, block - 1, block + 1, 2 * block, half - 1])
+        a = np.zeros(half, dtype=np.int64)
+        a[edges] = 6000
+        fill_first_half(srv, hds.pack_words(a, np.zeros(half)))
+        for start in (0, block // 2, block):
+            np.testing.assert_array_equal(srv.threshold_scan(0, start, half),
+                                          edges[edges > start])
+        assert srv.threshold_scan(0, 5, 6).size == 0
+
     def test_scan_must_not_span_epochs(self):
         srv, _ = self._pulse_server()
         srv.control("HALT")
@@ -519,6 +553,14 @@ class TestSocketTransport:
                 client.status()
         finally:
             client.close()
+
+    def test_stop_returns_within_a_short_poll(self):
+        import time
+        for _ in range(3):
+            wire = hds.HdsSocketServer(make_server(pages=16)).start()
+            t0 = time.perf_counter()
+            wire.stop()
+            assert time.perf_counter() - t0 < 0.25
 
     def test_in_process_transport_equivalent(self):
         core = make_server(pages=64)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from photonsub import hds, pso
 from photonsub.pso.centroid import centroid_bins
-from photonsub.pso.pipeline import empty_events
 from oracles import centroid_division_oracle, dense_window_scan
 
 
@@ -96,12 +95,12 @@ class TestPipeline:
         # with side sums (1, 1)
         ev = pso.coincidence_pipeline([301, 301], [0, 1])
         assert ev.size == 1
-        assert ev.sum_a[0] == 1 and ev.sum_b[0] == 1
+        assert ev["sum_a"][0] == 1 and ev["sum_b"][0] == 1
 
     def test_isolated_single_pulse(self):
         ev = pso.coincidence_pipeline([900], [0])
         assert ev.size == 1
-        assert ev.sum_a[0] == 1 and ev.sum_b[0] == 0
+        assert ev["sum_a"][0] == 1 and ev["sum_b"][0] == 0
         # singles are gated out in coincidence mode, kept in singles mode
         assert not pso.coincidence_gate(ev, coincidence_only=True)[0]
         assert pso.coincidence_gate(ev, coincidence_only=False)[0]
@@ -111,7 +110,7 @@ class TestPipeline:
         ev = pso.coincidence_pipeline([100, 109], [0, 1])
         ref = dense_window_scan([100, 109], [0, 1], span_end=120)
         assert ev.size == len(ref)
-        for got_s, (exp_s, _, _) in zip(ev.alignment, ref):
+        for got_s, (exp_s, _, _) in zip(ev["alignment"], ref):
             assert got_s == exp_s
 
     def test_stream_equals_window_scan_oracle(self):
@@ -122,16 +121,21 @@ class TestPipeline:
         ev = pso.coincidence_pipeline(subbins, sides)
         ref = dense_window_scan(subbins, sides, span_end=6010)
         assert ev.size == len(ref)
-        for i, (s, wa, wb) in enumerate(ref):
-            assert ev.alignment[i] == s
-            aa, bb, _, _ = pso.unpack_signature(ev.signature[i])
+        for e, (s, wa, wb) in zip(ev, ref):
+            assert e["alignment"] == s
+            # the trigger flag reaches the coarse domain 4 sub-bins into
+            # the window; the herald leaves a fixed pipeline depth later
+            assert e["coarse"] == (s + 4) // 3
+            assert e["emit_subbin"] == s + pso.PIPELINE_DEPTH_SUBBINS
+            assert e["sum_a"] == wa.sum() and e["sum_b"] == wb.sum()
+            aa, bb, _, _ = pso.unpack_signature(e["signature"])
             np.testing.assert_array_equal(aa[0], wa)
             np.testing.assert_array_equal(bb[0], wb)
 
     def test_each_pulse_contributes_once(self):
         # a burst that could retrigger must consume its pulses
         ev = pso.coincidence_pipeline([50, 51, 52], [0, 1, 0])
-        total_counted = int(ev.sum_a.sum() + ev.sum_b.sum())
+        total_counted = int(ev["sum_a"].sum() + ev["sum_b"].sum())
         assert total_counted == 3
 
     def test_herald_latency_contract(self):
@@ -139,7 +143,7 @@ class TestPipeline:
         subbins = np.sort(rng.integers(0, 100_000, size=300))
         sides = rng.integers(0, 2, size=300)
         ev = pso.coincidence_pipeline(subbins, sides)
-        lat = ev.emit_subbin - ev.alignment
+        lat = ev["emit_subbin"] - ev["alignment"]
         assert np.all(lat == pso.PIPELINE_DEPTH_SUBBINS)
 
 
@@ -381,7 +385,7 @@ class TestEngine:
         servers, engine = _loopback_setup(tmp_path)
         ev = engine.process_pulses(np.array([3 * 500 + 1] * 2),
                                    np.array([0, 1]))
-        assert ev.coarse[0] == 499
+        assert ev["coarse"][0] == 499
 
     def test_deferred_events_retry_next_epoch(self, tmp_path):
         servers, engine = _loopback_setup(tmp_path, delay_a=50, delay_b=50)
@@ -424,6 +428,26 @@ class TestEngine:
         assert engine.report.gated_out == 1
         assert engine.report.triggered == 1
         assert engine.report.conservation_holds()
+
+    def test_herald_stream_is_packed_trigger_output(self, tmp_path):
+        # one packed 16-byte (emit_subbin, signature) record per triggered
+        # event, in trigger order across halves, gated out or not
+        servers, engine = _loopback_setup(tmp_path)
+        rng = np.random.default_rng(3)
+        triggered = []
+        for _ in range(3):
+            subbins = np.sort(rng.integers(0, 30_000, size=200))
+            triggered.append(engine.process_pulses(
+                subbins, rng.integers(0, 2, size=200)))
+        triggered = np.concatenate(triggered)
+        stream = engine.herald_stream()
+        assert stream.dtype == pso.engine.HERALD_DTYPE
+        assert stream.itemsize == 16 and stream.flags.c_contiguous
+        assert stream.size == triggered.size == engine.report.triggered
+        np.testing.assert_array_equal(stream["emit_subbin"],
+                                      triggered["emit_subbin"])
+        np.testing.assert_array_equal(stream["signature"],
+                                      triggered["signature"])
 
     def test_single_sided_neighbor_spoils_coincidence(self, tmp_path):
         # a gated-out single within the hold window still distorts the
