@@ -22,9 +22,15 @@ from .pso import read_class
 
 
 def _load_cfg(path) -> ExperimentConfig:
+    """The --config file's settings; an unreadable or invalid file ends the
+    command with one error line."""
     if path is None:
         return ExperimentConfig()
-    return load_config(path)
+    try:
+        return load_config(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def cmd_calibrate(args):

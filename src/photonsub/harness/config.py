@@ -7,12 +7,21 @@ documented in the README; `load_config` / `save_config` round-trip it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 
 from ..fock_core import SubtractionModel
+from ..hds import DEFAULT_PAGES, PAGE_WORDS, HomodyneServer
 from ..pso import PsoRunConfig
+from .calibration import MAX_LAG
+from .generator import PIPELINE_COARSE_OFFSET, SIDE_CLASS_CAP
 
 DEFAULT_CLASS_TARGETS = {(1, 1): 10_000, (0, 0): 10_000}
+# largest Fock cutoff: reconstruction holds (n_c + 1)^2 complex amplitudes
+# per record, 7 kB at 20
+MAX_CUTOFF = 20
+MAX_CONFIG_BYTES = 1 << 16      # a full config is under 1 kB
 
 
 @dataclass(frozen=True)
@@ -37,21 +46,13 @@ class ExperimentConfig:
     # the hardware's ~20 heralds/s scaled up 1000x in simulated time;
     # raise further (config) when wall time matters more than realism
     herald_rate_hz: float = 2e4
-    dark_herald_fraction: float = 0.01
     zero_detection_rate: int = 2 ** 17   # per overflow period
     hold_bins: int = 3
     seed_window: tuple = (0, 0, 1000)    # offset, width, period; width 0 off
     shutter_bins: int = 2_000_000        # shot-noise window at run start
     shot_noise_samples: int = 20_000
     adc_scale: float = 800.0             # ADC codes per quadrature unit
-    records_per_file: int = 10_000
     class_targets: dict = field(default_factory=lambda: dict(DEFAULT_CLASS_TARGETS))
-    side_class_cap: int = 2              # generator draws classes n,m <= cap
-
-    # phase drives (A side slow, B side fast)
-    drive_a_hz: float = 1_000.0
-    drive_b_hz: float = 10_000.0
-    reset_fraction: float = 0.001
 
     # tomography
     max_iterations: int = 2000
@@ -59,9 +60,6 @@ class ExperimentConfig:
 
     # determinism
     seed: int = 2026
-
-    # wall-clock pacing of ingest (off for desk runs)
-    pace_realtime: bool = False
 
     def model(self, n_sub: int, m_sub: int) -> SubtractionModel:
         return SubtractionModel(r=self.r, R1=self.R1, R2=self.R2,
@@ -77,20 +75,78 @@ class ExperimentConfig:
             seed_window_period=period,
             zero_detection_rate=self.zero_detection_rate)
 
+    def effective_delays(self):
+        """Ground-truth effective delays the calibration should recover:
+        true delay plus server start skew minus the trigger-pipeline
+        offset."""
+        return (
+            self.true_delay_a + self.server_offset_a - PIPELINE_COARSE_OFFSET,
+            self.true_delay_b + self.server_offset_b - PIPELINE_COARSE_OFFSET)
+
     def validate(self) -> "ExperimentConfig":
-        if min(self.class_targets.values(), default=1) < 1:
-            raise ValueError("dataset size targets must be >= 1")
-        if self.herald_rate_hz < 0 or self.dark_herald_fraction < 0:
-            raise ValueError("rates must be non-negative")
-        if not (0 <= self.server_offset_a <= 2 and 0 <= self.server_offset_b <= 2):
-            raise ValueError("server offsets must be 0..2 bins")
-        if abs(self.true_delay_a) > 64 or abs(self.true_delay_b) > 64:
-            raise ValueError("true delays must stay within +/-64 bins")
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), f.type)
+        delays = self.effective_delays()
+        for ok, problem in (
+                (0 < self.model(0, 0).effective_squeezing < 1,
+                 "r, R1, R2: effective squeezing outside (0, 1)"),
+                (1 <= self.n_c <= MAX_CUTOFF, f"n_c outside [1, {MAX_CUTOFF}]"),
+                (2 <= self.pages <= DEFAULT_PAGES and self.pages % 2 == 0,
+                 f"pages odd or outside [2, {DEFAULT_PAGES}]"),
+                (0 <= self.herald_rate_hz <= HomodyneServer.SAMPLE_RATE_HZ,
+                 "herald_rate_hz outside [0, the sample rate]"),
+                (1 <= self.shot_noise_samples <= self.shutter_bins
+                 <= self.pages * PAGE_WORDS // 2,
+                 "shot_noise_samples, shutter_bins: not 1 <= samples <= "
+                 "shutter <= one buffer half"),
+                (self.adc_scale > 0, "adc_scale not positive"),
+                (self.epsilon > 0, "epsilon not positive"),
+                (self.max_iterations >= 1, "max_iterations below 1"),
+                (min(self.class_targets.values(), default=1) >= 1,
+                 "class_targets: a dataset size target below 1"),
+                (all(0 <= n <= SIDE_CLASS_CAP for k in self.class_targets
+                     for n in k),
+                 f"class_targets: a class (n, m) outside [0, {SIDE_CLASS_CAP}]"),
+                (0 <= self.server_offset_a <= 2, "server_offset_a outside 0..2"),
+                (0 <= self.server_offset_b <= 2, "server_offset_b outside 0..2"),
+                (abs(delays[0]) <= MAX_LAG, f"true_delay_a: effective delay "
+                 f"{delays[0]} outside the +/-{MAX_LAG}-bin calibration scan"),
+                (abs(delays[1]) <= MAX_LAG, f"true_delay_b: effective delay "
+                 f"{delays[1]} outside the +/-{MAX_LAG}-bin calibration scan"),
+                (0 <= self.seed < 1 << 48, "seed outside [0, 2^48)")):
+            if not ok:
+                raise ValueError(problem)
         self.pso_config((0, 0))     # the orchestrator's checks, before a run
         return self
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs).validate()
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _check_type(key, value, kind):
+    """ValueError naming the key unless value has its field's type."""
+    if kind == "int":
+        ok = _is_int(value)
+    elif kind == "float":
+        # exact comparison: refuses nan, inf and ints no float can hold
+        ok = (isinstance(value, Real) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+    elif kind == "tuple":
+        ok = (isinstance(value, tuple) and len(value) == 3
+              and all(map(_is_int, value)))
+    else:
+        ok = isinstance(value, dict) and all(
+            isinstance(k, tuple) and len(k) == 2 and all(map(_is_int, k))
+            and _is_int(v) for k, v in value.items())
+    if not ok:
+        want = {"int": "an integer", "float": "a finite number",
+                "tuple": "three integers",
+                "dict": 'a map of "n,m" classes to integers'}[kind]
+        raise ValueError(f"{key} must be {want}, got {type(value).__name__}")
 
 
 def save_config(config: ExperimentConfig, path):
@@ -103,11 +159,33 @@ def save_config(config: ExperimentConfig, path):
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        d = json.load(fh)
-    if "class_targets" in d:
-        d["class_targets"] = {tuple(int(x) for x in k.split(",")): v
+    """Read a JSON config file; ValueError naming the key on any bad entry."""
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(raw) > MAX_CONFIG_BYTES:
+        raise ValueError(f"a config file holds at most {MAX_CONFIG_BYTES} "
+                         f"bytes")
+    try:
+        d = json.loads(raw)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(d, dict):
+        raise ValueError("a config file holds one JSON object")
+    unknown = sorted(d.keys() - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0][:40]!r}")
+    if isinstance(d.get("class_targets"), dict):
+        d["class_targets"] = {_class_key(k): v
                               for k, v in d["class_targets"].items()}
-    if "seed_window" in d:
+    if isinstance(d.get("seed_window"), list):
         d["seed_window"] = tuple(d["seed_window"])
     return ExperimentConfig(**d).validate()
+
+
+def _class_key(text: str):
+    try:
+        n, m = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"class_targets key {text[:20]!r} is not "
+                         f'"n,m"') from None
+    return n, m

@@ -25,16 +25,12 @@ from ..tomography import (ReconstructionReport, TomographyDataset,
                           reconstruct, rolling_variance)
 from .calibration import thermal_calibration
 from .config import ExperimentConfig
-from .generator import (THERMAL_PULSE_PERIOD, THERMAL_THRESHOLD_CODE,
-                        StreamGenerator, _rng, herald_subbins, phase_drives)
+from .generator import (DRIVE_A, DRIVE_B, THERMAL_PULSE_PERIOD,
+                        THERMAL_THRESHOLD_CODE, StreamGenerator, _rng,
+                        herald_subbins)
 
 _STREAM_SHOT = 21
 _STREAM_ZERO = 22
-
-# fixed trigger-pipeline offset: the coarse tag the trigger gives a lone
-# herald that the generator placed in coarse bin 0 (see pso.pipeline)
-PIPELINE_COARSE_OFFSET = int(coincidence_pipeline(
-    herald_subbins(np.zeros(1, np.int64)), [0])["coarse"][0])
 
 
 @dataclass
@@ -50,19 +46,11 @@ class Rig:
     def half(self) -> int:
         return self.server_a.buffer.half
 
-    def effective_delays(self):
-        """Ground-truth effective delays the calibration should recover."""
-        cfg = self.config
-        return (cfg.true_delay_a + cfg.server_offset_a - PIPELINE_COARSE_OFFSET,
-                cfg.true_delay_b + cfg.server_offset_b - PIPELINE_COARSE_OFFSET)
-
 
 def build_rig(config: ExperimentConfig) -> Rig:
     gen = StreamGenerator(config)
     srv_a = HomodyneServer(pages=config.pages, page_map_seed=config.seed)
     srv_b = HomodyneServer(pages=config.pages, page_map_seed=config.seed + 1)
-    srv_a.config.pace_realtime = config.pace_realtime
-    srv_b.config.pace_realtime = config.pace_realtime
     return Rig(config=config, generator=gen, server_a=srv_a, server_b=srv_b,
                client_a=HdsClient(InProcessTransport(srv_a)),
                client_b=HdsClient(InProcessTransport(srv_b)))
@@ -147,13 +135,12 @@ def analyze_classes(class_records: dict, scales, config: ExperimentConfig,
     """Map each class's records to calibrated quadratures and phases,
     reconstruct them with the config's iteration cap and epsilon, and
     compare with every expected state.  Returns {class: ClassAnalysis}."""
-    drive_a, drive_b = phase_drives(config)
     out = {}
     for cls, records in class_records.items():
         adc = records["adc"].astype(np.float64)
         data = TomographyDataset(adc[:, 0] / scales[0], adc[:, 2] / scales[1],
-                                 drive_a.theta_from_code(adc[:, 1]),
-                                 drive_b.theta_from_code(adc[:, 3]),
+                                 DRIVE_A.theta_from_code(adc[:, 1]),
+                                 DRIVE_B.theta_from_code(adc[:, 3]),
                                  n_c=config.n_c)
         rep = reconstruct(data, max_iterations=config.max_iterations,
                           epsilon=config.epsilon)
@@ -181,8 +168,7 @@ def run_acquisition(rig: Rig, delays, run_dir, max_epochs: int = 64):
     """
     cfg = rig.config
     console = PsoConsole(cfg.pso_config(delays))
-    writer = DatasetWriter(run_dir, records_per_file=cfg.records_per_file,
-                           class_targets=dict(cfg.class_targets))
+    writer = DatasetWriter(run_dir, class_targets=dict(cfg.class_targets))
     engine = PsoEngine(rig.client_a, rig.client_b, console, writer,
                        half_words=rig.half,
                        zero_rng=_rng(cfg.seed, _STREAM_ZERO))

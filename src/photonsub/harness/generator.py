@@ -19,14 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..fock_core import lossy_subtracted_state, success_probability
+from ..hds.server import HomodyneServer
 from ..hds.words import ADC_MAX, ADC_MIN
 from ..homodyne_model import PhaseDrive, QuadratureSampler
-from ..pso.pipeline import SUBBINS_PER_COARSE, TREE_DETECTORS
-from .config import ExperimentConfig
+from ..pso.pipeline import (SUBBINS_PER_COARSE, TREE_DETECTORS,
+                            coincidence_pipeline)
 
 CHUNK = 1 << 22  # background generation chunk, samples
 HERALD_SUBBIN = 1       # sub-bin of its coarse bin where a pulse lands
 DEAD_TIME_BINS = 4      # per tree detector, coarse bins
+DARK_HERALD_FRACTION = 0.01     # heralds that leave the background in place
+SIDE_CLASS_CAP = 2              # heralded classes (n, m) have n, m <= cap
+# LO phase drives: mode A slow, mode B fast, each with a 0.1% flyback
+DRIVE_A = PhaseDrive(1_000.0)
+DRIVE_B = PhaseDrive(10_000.0)
 # pulsed-thermal calibration stream (thermal_epoch)
 THERMAL_THRESHOLD_CODE = 4000
 THERMAL_PULSE_PERIOD = 1000     # coarse bins: 100 kHz
@@ -67,16 +73,20 @@ def herald_subbins(coarse):
     return SUBBINS_PER_COARSE * coarse + HERALD_SUBBIN
 
 
-def phase_drives(config: ExperimentConfig):
-    """The (mode A, mode B) LO phase drives of a configuration."""
-    return tuple(PhaseDrive(hz, reset_fraction=config.reset_fraction)
-                 for hz in (config.drive_a_hz, config.drive_b_hz))
+# fixed trigger-pipeline offset: the coarse tag the trigger gives a lone
+# herald that the generator placed in coarse bin 0 (see pso.pipeline)
+PIPELINE_COARSE_OFFSET = int(coincidence_pipeline(
+    herald_subbins(np.zeros(1, np.int64)), [0])["coarse"][0])
 
 
 class StreamGenerator:
-    def __init__(self, config: ExperimentConfig):
+    """Sample and pulse streams of one ExperimentConfig (validated here)."""
+
+    drive_a = DRIVE_A
+    drive_b = DRIVE_B
+
+    def __init__(self, config):
         self.config = config.validate()
-        self.drive_a, self.drive_b = phase_drives(config)
         lam = config.model(0, 0).effective_squeezing
         self._lam = lam
         self._nbar = lam * lam / (1.0 - lam * lam)
@@ -90,8 +100,8 @@ class StreamGenerator:
 
     # ------------------------------------------------------------------
     def _build_class_table(self):
-        cap = self.config.side_class_cap
-        classes = [(n, m) for n in range(cap + 1) for m in range(cap + 1)
+        classes = [(n, m) for n in range(SIDE_CLASS_CAP + 1)
+                   for m in range(SIDE_CLASS_CAP + 1)
                    if (n, m) != (0, 0)]
         weights = np.array([success_probability(self.config.model(n, m))
                             for n, m in classes])
@@ -116,7 +126,7 @@ class StreamGenerator:
         cfg = self.config
         rng = _rng(cfg.seed, _STREAM_HERALDS, lo)
         span = hi - lo
-        rate_per_bin = cfg.herald_rate_hz / 1e8
+        rate_per_bin = cfg.herald_rate_hz / HomodyneServer.SAMPLE_RATE_HZ
         n = rng.poisson(rate_per_bin * span)
         coarse = np.sort(rng.integers(lo, hi, size=n).astype(np.int64))
         classes, weights = self._class_table
@@ -124,7 +134,7 @@ class StreamGenerator:
         idx = pick.choice(len(classes), size=coarse.size, p=weights)
         cls = np.array(classes, dtype=np.int64)[idx] if coarse.size else \
             np.zeros((0, 2), dtype=np.int64)
-        dark = pick.random(coarse.size) < cfg.dark_herald_fraction
+        dark = pick.random(coarse.size) < DARK_HERALD_FRACTION
         plan = HeraldPlan(coarse=coarse, cls_n=cls[:, 0], cls_m=cls[:, 1],
                           dark=dark)
         self._attach_detector_pulses(plan, pick)

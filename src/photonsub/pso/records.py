@@ -66,11 +66,13 @@ class DatasetWriter:
 
     def __init__(self, run_dir, records_per_file: int = 10_000,
                  class_targets: dict | None = None):
+        if records_per_file < 1:
+            raise ValueError("records_per_file must be >= 1")
         self.run_dir = str(run_dir)
         os.makedirs(self.run_dir, exist_ok=True)
         self.records_per_file = records_per_file
         self.class_targets = dict(class_targets or {})
-        self._pending: dict = {}
+        self._pending: dict = {}    # class -> record arrays not yet in a file
         self._file_index: dict = {}
         self.counts: dict = {}
         self.files: list = []
@@ -89,12 +91,16 @@ class DatasetWriter:
         if records.size == 0:
             return 0
         self.counts[cls] = self.counts.get(cls, 0) + records.size
-        buf = self._pending.get(cls)
-        buf = records if buf is None else np.concatenate([buf, records])
-        while buf.size >= self.records_per_file:
-            self._flush(cls, buf[: self.records_per_file])
-            buf = buf[self.records_per_file:]
-        self._pending[cls] = buf
+        parts = self._pending.setdefault(cls, [])
+        parts.append(records)
+        n = sum(p.size for p in parts)
+        full = n - n % self.records_per_file
+        if full:
+            # one join per file roll, not one per add
+            buf = np.concatenate(parts, dtype=RECORD_DTYPE)
+            for lo in range(0, full, self.records_per_file):
+                self._flush(cls, buf[lo:lo + self.records_per_file])
+            parts[:] = [buf[full:]] if full < n else []
         return records.size
 
     def _flush(self, cls, chunk):
@@ -106,10 +112,10 @@ class DatasetWriter:
         self.files.append(name)
 
     def finalize(self, metadata: dict | None = None):
-        for cls, buf in list(self._pending.items()):
-            if buf.size:
-                self._flush(cls, buf)
-            self._pending[cls] = buf[:0]
+        for cls, parts in self._pending.items():
+            if parts:
+                self._flush(cls, np.concatenate(parts, dtype=RECORD_DTYPE))
+            parts.clear()
         meta = {
             "record_layout": "signature u64, overflow u32, timetag u32, "
                              "adc[4] i16 (A homodyne, A drive, B homodyne, "
@@ -125,8 +131,9 @@ class DatasetWriter:
 
     def load_class(self, cls) -> np.ndarray:
         """Read back every record of one class, in write order."""
-        pending = self._pending.get(cls, np.zeros(0, dtype=RECORD_DTYPE))
-        return np.concatenate([read_class(self.run_dir, cls), pending])
+        return np.concatenate([read_class(self.run_dir, cls),
+                               *self._pending.get(cls, ())],
+                              dtype=RECORD_DTYPE)
 
 
 @dataclass

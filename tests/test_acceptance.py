@@ -195,7 +195,7 @@ def test_criterion_6_delay_calibration():
                                   server_offset_a=oa, server_offset_b=ob)
         rig = hx.build_rig(cfg)
         delays, results = hx.run_delay_calibration(rig, pulses_wanted=10_000)
-        expect = rig.effective_delays()
+        expect = rig.config.effective_delays()
         for got, want, res in zip(delays, expect, results):
             ok &= abs(got - want) <= 1
             ok &= abs(res.fwhm_bins - 6) <= 2

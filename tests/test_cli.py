@@ -56,6 +56,18 @@ def test_protocol_test_over_sockets_stops_its_servers(capsys):
     assert out.count("[PASS]") == 6
 
 
+@pytest.mark.parametrize("text", ['{"drive_a_hz": 1000.0}',
+                                  '{"pages": "4096"}', '{"pages": 4096'])
+def test_bad_config_is_one_error_line(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["calibrate", "--config", str(path)])
+    assert exit_info.value.code != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_calibrate_command(small_cfg, capsys):
     assert cli.main(["calibrate", "--config", small_cfg,
                      "--pulses", "1200"]) == 0

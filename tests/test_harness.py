@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from math import pi
@@ -5,12 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from photonsub import fock_core as fc
 from photonsub import ng_metrics as ng
 from photonsub import harness as hx
-from photonsub.harness.generator import StreamGenerator
+from photonsub.harness.calibration import MAX_LAG
+from photonsub.harness.generator import PIPELINE_COARSE_OFFSET, StreamGenerator
+from photonsub.hds import DEFAULT_PAGES
 from photonsub.homodyne_model import quadrature_operator
 from photonsub.pso import coincidence_pipeline
 
@@ -23,6 +28,7 @@ SMALL = hx.ExperimentConfig(pages=4096, shutter_bins=200_000,
                             herald_rate_hz=2e5, shot_noise_samples=4000,
                             zero_detection_rate=2 ** 13,
                             max_iterations=150, seed=5)
+CONFIG_KEYS = [f.name for f in dataclasses.fields(hx.ExperimentConfig)]
 
 
 class TestConfig:
@@ -47,6 +53,86 @@ class TestConfig:
             hx.ExperimentConfig(hold_bins=-1).validate()
         with pytest.raises(ValueError):
             hx.ExperimentConfig(zero_detection_rate=2 ** 17 + 1).validate()
+
+    def test_delay_bound_is_the_calibration_window(self):
+        # calibration scans +/-MAX_LAG around the effective delay (true
+        # delay + server offset - pipeline offset), so 61 + 2 is the top
+        # edge and 62 + 2 would fail calibration instead of loading
+        assert MAX_LAG == 61 + 2 - PIPELINE_COARSE_OFFSET
+        hx.ExperimentConfig(true_delay_a=61, server_offset_a=2).validate()
+        with pytest.raises(ValueError, match="true_delay_a"):
+            hx.ExperimentConfig(true_delay_a=62, server_offset_a=2).validate()
+        hx.ExperimentConfig(true_delay_b=-65, server_offset_b=0).validate()
+        with pytest.raises(ValueError, match="true_delay_b"):
+            hx.ExperimentConfig(true_delay_b=-66, server_offset_b=0).validate()
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"drive_a_hz": 1000.0}, "drive_a_hz"),
+        ({"pages": "4096"}, "pages"),
+        ({"pages": 4096.0}, "pages"),
+        ({"r": True}, "r"),
+        ({"epsilon": float("nan")}, "epsilon"),
+        ({"seed_window": [0, 0]}, "seed_window"),
+        ({"class_targets": {"1": 10}}, "class_targets"),
+        ({"class_targets": [10, 10]}, "class_targets"),
+        ({"class_targets": {"5,5": 10}}, "class_targets"),
+        ({"pages": DEFAULT_PAGES + 2}, "pages"),
+        ({"n_c": 10 ** 6}, "n_c"),
+        ({"herald_rate_hz": 1e12}, "herald_rate_hz"),
+        ({"shot_noise_samples": 3_000_000}, "shot_noise_samples"),
+        ({"shutter_bins": 10 ** 9}, "shutter_bins"),
+        ({"r": 40.0, "R1": 0.0, "R2": 0.0}, "squeezing"),
+    ])
+    def test_load_refuses_naming_the_key(self, tmp_path, entry, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ValueError, match=key):
+            hx.load_config(path)
+
+    def test_load_refuses_oversized_and_deeply_nested_files(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": 1' + " " * (1 << 17) + "}")
+        with pytest.raises(ValueError, match="at most"):
+            hx.load_config(path)
+        path.write_text("[" * 60_000 + "]" * 60_000)
+        with pytest.raises(ValueError):
+            hx.load_config(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(CONFIG_KEYS + ["drive_a_hz", "records_per_file", ""]),
+        st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 70_000)
+        | st.floats() | st.booleans() | st.none() | st.text(max_size=4)
+        | st.lists(st.integers(-5, 2000), max_size=4)
+        | st.dictionaries(st.sampled_from(["1,1", "0,0", "2,1", "3,3", "x",
+                                           "1,1,1"]),
+                          st.integers(-2, 10 ** 6) | st.floats(0, 10)),
+        max_size=6), st.booleans())
+    def test_load_config_validates_or_raises_value_error(
+            self, tmp_path_factory, entries, over_defaults):
+        # random objects over the field names plus unknown keys, alone or
+        # over a complete default file: a config that loads is valid, and
+        # every other file raises ValueError
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        hx.save_config(hx.ExperimentConfig(), path)
+        base = json.loads(path.read_text()) if over_defaults else {}
+        path.write_text(json.dumps({**base, **entries}))
+        try:
+            cfg = hx.load_config(path)
+        except ValueError:
+            return
+        assert cfg.validate() is cfg
+
+    def test_readme_config_example_is_the_schema(self, tmp_path):
+        # the README's "Configuration file" example lists every field at
+        # its default value, and loads
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration file", 1)[1]
+        block = section.split("```json", 1)[1].split("```", 1)[0]
+        assert sorted(json.loads(block)) == sorted(CONFIG_KEYS)
+        path = tmp_path / "cfg.json"
+        path.write_text(block)
+        assert hx.load_config(path) == hx.ExperimentConfig()
 
 
 class TestGeneratorStatistics:
@@ -168,7 +254,7 @@ class TestCalibration:
 
     def test_recovers_effective_delays(self, calibrated):
         rig, delays, _ = calibrated
-        expect = rig.effective_delays()
+        expect = rig.config.effective_delays()
         assert abs(delays[0] - expect[0]) <= 1
         assert abs(delays[1] - expect[1]) <= 1
 
@@ -184,7 +270,7 @@ class TestCalibration:
                                    server_offset_a=0, server_offset_b=2)
         rig = hx.build_rig(cfg)
         delays, _ = hx.run_delay_calibration(rig, pulses_wanted=1200)
-        expect = rig.effective_delays()
+        expect = rig.config.effective_delays()
         assert abs(delays[0] - expect[0]) <= 1
         assert abs(delays[1] - expect[1]) <= 1
 

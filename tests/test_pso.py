@@ -327,6 +327,33 @@ class TestRecords:
         back = w.load_class((1, 1))
         np.testing.assert_array_equal(back["timetag"], np.arange(25))
 
+    @pytest.mark.parametrize("records_per_file", [0, -3])
+    def test_dataset_writer_refuses_files_of_no_records(self, tmp_path,
+                                                         records_per_file):
+        # a roll size below one would write empty files forever
+        with pytest.raises(ValueError, match="records_per_file"):
+            pso.DatasetWriter(tmp_path, records_per_file=records_per_file)
+
+    def test_dataset_writer_files_match_one_write(self, tmp_path):
+        # records added in uneven pieces land in the same part files as
+        # the whole stream cut every records_per_file records
+        rng = np.random.default_rng(3)
+        n = 97
+        rec = pso.build_records(rng.integers(0, 2 ** 63, n, dtype=np.uint64),
+                                np.zeros(n), np.arange(n),
+                                (rng.integers(-99, 99, n), np.zeros(n)),
+                                (np.zeros(n), rng.integers(-99, 99, n)))
+        w = pso.DatasetWriter(tmp_path, records_per_file=10)
+        cuts = [0, 3, 4, 21, 22, 40, 75, n]
+        for lo, hi in zip(cuts, cuts[1:]):
+            w.add((1, 1), rec[lo:hi])
+        np.testing.assert_array_equal(w.load_class((1, 1)), rec)
+        w.finalize()
+        for k in range(10):
+            np.testing.assert_array_equal(
+                pso.read_records(tmp_path / f"sig_1_1.part{k:03d}.bin"),
+                rec[10 * k:10 * k + 10])
+
     def test_report_conservation(self):
         rep = pso.RunReport(triggered=100, gated_out=10, hold_dropped=4,
                             seed_dropped=2, deferred=1,
