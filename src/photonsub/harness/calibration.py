@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_LAG = 64
+# the scan spans every query delay the orchestrator takes
+from ..pso.engine import MAX_DELAY_BINS as MAX_LAG
+
 PEAK_HALFWIDTH = 6      # lags this close to the peak stay out of the floor
 MIN_SNR = 5.0
 

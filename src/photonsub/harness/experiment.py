@@ -26,8 +26,8 @@ from ..tomography import (ReconstructionReport, TomographyDataset,
 from .calibration import thermal_calibration
 from .config import ExperimentConfig
 from .generator import (DRIVE_A, DRIVE_B, THERMAL_PULSE_PERIOD,
-                        THERMAL_THRESHOLD_CODE, StreamGenerator, _rng,
-                        herald_subbins)
+                        THERMAL_THRESHOLD_CODE, WINDOW, StreamGenerator,
+                        _rng, herald_subbins)
 
 _STREAM_SHOT = 21
 _STREAM_ZERO = 22
@@ -76,8 +76,10 @@ def run_delay_calibration(rig: Rig, pulses_wanted: int = 10_000):
         client.start_run(offset)
         subbins, sides = rig.generator.thermal_epoch(server, side, span)
         # zero-fill the rest of the half so it seals
-        remainder = rig.half - span + 1
-        server.ingest_samples(np.zeros(remainder), np.zeros(remainder))
+        zeros = np.zeros(WINDOW, dtype=np.int64)
+        for lo in range(span, rig.half + 1, WINDOW):
+            n = min(WINDOW, rig.half + 1 - lo)
+            server.ingest_samples(zeros[:n], zeros[:n])
         events = coincidence_pipeline(subbins, sides)
         # PSO tags live on the master clock; the server's start skew shows
         # up in the crossing tags and lands inside the measured delay

@@ -26,6 +26,7 @@ from ..pso.pipeline import (SUBBINS_PER_COARSE, TREE_DETECTORS,
                             coincidence_pipeline)
 
 CHUNK = 1 << 22  # background generation chunk, samples
+WINDOW = 1 << 18  # generation and ingest window, samples; divides CHUNK
 HERALD_SUBBIN = 1       # sub-bin of its coarse bin where a pulse lands
 DEAD_TIME_BINS = 4      # per tree detector, coarse bins
 DARK_HERALD_FRACTION = 0.01     # heralds that leave the background in place
@@ -96,7 +97,7 @@ class StreamGenerator:
                          / (1.0 - lam * lam))
         self._class_table = self._build_class_table()
         self._samplers: dict = {}
-        self._z_last: dict = {}     # stream -> (chunk index, normals)
+        self._z_state: dict = {}    # stream -> (chunk, rng, start, normals)
 
     # ------------------------------------------------------------------
     def _build_class_table(self):
@@ -219,19 +220,31 @@ class StreamGenerator:
         """Chunk-keyed standard normals over mode-time indices; negative
         indices (pre-run tail shorter than a delay) stay reproducible."""
         out = np.empty(tau_hi - tau_lo)
-        pos = 0
         for c in range(tau_lo // CHUNK, (tau_hi - 1) // CHUNK + 1):
-            # consecutive windows share a boundary chunk: keep each
-            # stream's last chunk instead of drawing it twice
-            if self._z_last.get(stream, (None,))[0] != c:
-                self._z_last[stream] = (c, _rng(
-                    self.config.seed, stream, c + (1 << 32)).standard_normal(CHUNK))
-            z = self._z_last[stream][1]
             a0 = max(tau_lo, c * CHUNK)
             a1 = min(tau_hi, (c + 1) * CHUNK)
-            out[pos:pos + a1 - a0] = z[a0 - c * CHUNK:a1 - c * CHUNK]
-            pos += a1 - a0
+            out[a0 - tau_lo:a1 - tau_lo] = self._chunk_normals(
+                stream, c, a0 - c * CHUNK, a1 - c * CHUNK)
         return out
+
+    def _chunk_normals(self, stream: int, c: int, i0: int, i1: int):
+        """Normals [i0, i1) of chunk c, drawn in order from the chunk's
+        generator: a normal takes a variable number of raw draws, so the
+        stream cannot seek, but drawing it in pieces gives the same values
+        as one call.  Each stream keeps its generator and the normals from
+        its last i0 on, so consecutive windows, which overlap by the delay
+        difference, draw each normal once."""
+        chunk, rng, start, block = self._z_state.get(stream, (None,) * 4)
+        if chunk != c or i0 < start:
+            chunk, start, block = c, 0, np.zeros(0)
+            rng = _rng(self.config.seed, stream, c + (1 << 32))
+        drawn = start + block.size
+        for lo in range(drawn, i0, WINDOW):     # skip ahead, keeping nothing
+            rng.standard_normal(min(WINDOW, i0 - lo))
+        block = np.concatenate([block[i0 - start:], rng.standard_normal(
+            max(i1 - max(drawn, i0), 0))])
+        self._z_state[stream] = (chunk, rng, i0, block)
+        return block[:i1 - i0]
 
     def background_pair(self, tau_lo: int, tau_hi: int):
         """Correlated no-subtraction quadrature pair per mode time tau.
@@ -270,37 +283,38 @@ class StreamGenerator:
         cfg = self.config
         lo = epoch * half
         hi = lo + half
-        # heralded overrides prepared once per epoch
+        # heralded overrides prepared once per epoch: per channel, the
+        # sorted sample positions of the non-dark heralds and their draws
+        hx1 = hx2 = np.zeros(0)
         if plan.coarse.size:
             hx1, hx2 = self.heralded_draws(plan, stream_key=epoch)
-            dark = plan.dark
-            pos_a = plan.coarse + cfg.true_delay_a
-            pos_b = plan.coarse + cfg.true_delay_b
-        else:
-            hx1 = hx2 = pos_a = pos_b = np.zeros(0, dtype=np.int64)
-            dark = np.zeros(0, dtype=bool)
-        for c_lo in range(lo, hi, CHUNK):
-            c_hi = min(c_lo + CHUNK, hi)
-            t = np.arange(c_lo, c_hi)
+        lit = ~plan.dark
+        overrides = [(plan.coarse[lit] + delay, x[lit]) for delay, x in
+                     ((cfg.true_delay_a, hx1), (cfg.true_delay_b, hx2))]
+        for w_lo in range(lo, hi, WINDOW):
+            w_hi = min(w_lo + WINDOW, hi)
+            # shutter-closed vacuum at the start of the run: one stream per
+            # chunk, keyed by the chunk start and drawn on window by window
+            if (w_lo - lo) % CHUNK == 0:
+                vacuum = [_rng(cfg.seed, key, w_lo)
+                          for key in (_STREAM_VACUUM_A, _STREAM_VACUUM_B)]
+            n_shut = min(w_hi, cfg.shutter_bins) - w_lo
+            t = np.arange(w_lo, w_hi)
             # each channel carries its mode-time stream shifted by its own
             # path delay, so samples pair up at equal mode time; one pair
             # over the union of both mode-time windows serves both
-            tau_lo = c_lo - max(cfg.true_delay_a, cfg.true_delay_b)
-            tau_hi = c_hi - min(cfg.true_delay_a, cfg.true_delay_b)
+            tau_lo = w_lo - max(cfg.true_delay_a, cfg.true_delay_b)
+            tau_hi = w_hi - min(cfg.true_delay_a, cfg.true_delay_b)
             xa, xb = self.background_pair(tau_lo, tau_hi)
-            xa = xa[c_lo - cfg.true_delay_a - tau_lo:][:c_hi - c_lo]
-            xb = xb[c_lo - cfg.true_delay_b - tau_lo:][:c_hi - c_lo]
-            shut = t < cfg.shutter_bins
-            for x, vacuum, pos, vals, drive, server in (
-                    (xa, _STREAM_VACUUM_A, pos_a, hx1, self.drive_a, server_a),
-                    (xb, _STREAM_VACUUM_B, pos_b, hx2, self.drive_b, server_b)):
-                # shutter-closed vacuum at the start of the run
-                if np.any(shut):
-                    x[shut] = np.sqrt(0.5) * _rng(cfg.seed, vacuum, c_lo) \
-                        .standard_normal(int(shut.sum()))
-                sel = (pos >= c_lo) & (pos < c_hi) & ~dark
-                if np.any(sel):
-                    x[pos[sel] - c_lo] = vals[sel]
+            xa = xa[w_lo - cfg.true_delay_a - tau_lo:][:w_hi - w_lo]
+            xb = xb[w_lo - cfg.true_delay_b - tau_lo:][:w_hi - w_lo]
+            for x, vac, (pos, vals), drive, server in zip(
+                    (xa, xb), vacuum, overrides, (self.drive_a, self.drive_b),
+                    (server_a, server_b)):
+                if n_shut > 0:
+                    x[:n_shut] = np.sqrt(0.5) * vac.standard_normal(n_shut)
+                i0, i1 = np.searchsorted(pos, (w_lo, w_hi))
+                x[pos[i0:i1] - w_lo] = vals[i0:i1]
                 server.ingest_samples(self.to_codes(x), drive.evaluate(t)[1])
 
     # ------------------------------------------------------------------
@@ -333,9 +347,11 @@ class StreamGenerator:
         n_noise = rng.poisson(_NOISE_CROSSING_RATE * half)
         noise_pos = rng.integers(0, half, size=n_noise)
         a[noise_pos] = THERMAL_THRESHOLD_CODE + 1000
-        drive = (self.drive_a if side == 0 else self.drive_b).evaluate(
-            np.arange(half))[1]
-        server.ingest_samples(np.clip(a, ADC_MIN, ADC_MAX), drive)
+        drive = self.drive_a if side == 0 else self.drive_b
+        for lo in range(0, half, WINDOW):
+            hi = min(lo + WINDOW, half)
+            server.ingest_samples(np.clip(a[lo:hi], ADC_MIN, ADC_MAX),
+                                  drive.evaluate(np.arange(lo, hi))[1])
         # detector tags: pulse onsets plus a few dark counts
         n_dark = rng.poisson(_DARK_TAG_FRACTION * onsets.size)
         dark_tags = rng.integers(0, half, size=n_dark)

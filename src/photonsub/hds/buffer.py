@@ -5,9 +5,18 @@ The buffer holds one 32-bit word per 100-MHz timetag across 67,500 pages of
 through a page table, mirroring scattered physical page allocation: address
 = page_map[t / 1024] * 1024 + t mod 1024.  A 29-bit counter increments on
 every wrap and anchors query validity.
+
+Storage is an anonymous mapping that the kernel zeroes page by page on
+first touch, so only pages written since the last reset are resident; a
+page of 1024 words is one 4-KiB memory page.  The mapping alone opts out of
+transparent huge pages: otherwise one scattered write per 2-MiB huge page
+would make the whole buffer resident (numpy asks for huge pages on every
+large array).
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -20,6 +29,15 @@ OVERFLOW_BITS = 29
 OVERFLOW_MASK = (1 << OVERFLOW_BITS) - 1
 
 
+def _zeroed_words(n: int) -> np.ndarray:
+    """n zero words in a fresh, lazily zeroed anonymous mapping; dropping
+    the last array over it unmaps it."""
+    mm = mmap.mmap(-1, n * WORD_DTYPE.itemsize)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        mm.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(mm, dtype=WORD_DTYPE)
+
+
 class RingBuffer:
     def __init__(self, pages: int = DEFAULT_PAGES, page_map_seed: int = 0):
         if pages < 2 or pages % 2:
@@ -30,7 +48,7 @@ class RingBuffer:
         # scattered-allocation emulation: a fixed pseudo-random page table
         rng = np.random.default_rng(page_map_seed)
         self.page_map = rng.permutation(pages).astype(np.int64)
-        self.data = np.zeros(self.capacity, dtype=WORD_DTYPE)
+        self.data = _zeroed_words(self.capacity)
         self.write_cursor = 0
         self.overflow_number = 0
 
@@ -74,9 +92,10 @@ class RingBuffer:
 
     def reset(self, start_cursor: int = 0):
         """Start-pulse handshake: zero the clock, optionally with the
-        comparator-dependent residual offset as the initial cursor."""
+        comparator-dependent residual offset as the initial cursor.  Fresh
+        storage replaces the old, which a concurrent reader may still hold."""
         if not 0 <= start_cursor < self.capacity:
             raise ValueError("start cursor outside capacity")
-        self.data[:] = 0
+        self.data = _zeroed_words(self.capacity)
         self.write_cursor = start_cursor
         self.overflow_number = 0

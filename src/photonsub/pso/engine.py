@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..hds import protocol as hds_protocol
+from ..hds.buffer import DEFAULT_PAGES, PAGE_WORDS
 from ..hds.words import is_placeholder, unpack_words
 from .centroid import signature_class
 from .pipeline import (EVENT_DTYPE, TREE_DETECTORS, coincidence_gate,
@@ -26,6 +27,11 @@ from .pipeline import (EVENT_DTYPE, TREE_DETECTORS, coincidence_gate,
 from .records import DatasetWriter, RunReport, build_records
 
 HERALD_DTYPE = np.dtype([("emit_subbin", "<i8"), ("signature", "<u8")])
+# widest query delay and hold window, coarse bins: the delay calibration
+# scans this many lags either side, so it never reports a wider delay
+MAX_DELAY_BINS = 64
+# longest seed-window period: one overflow period of the largest buffer
+MAX_SEED_PERIOD = DEFAULT_PAGES * PAGE_WORDS
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,16 @@ class PsoRunConfig:
     zero_detection_rate: int = 0          # per overflow period
 
     def __post_init__(self):
-        """Each filter's own setting checks, run here on no events."""
+        """Range checks, then each filter's own setting checks, run here
+        on no events."""
+        for name, lo, hi in (
+                ("delay_a", -MAX_DELAY_BINS, MAX_DELAY_BINS),
+                ("delay_b", -MAX_DELAY_BINS, MAX_DELAY_BINS),
+                ("hold_bins", 0, MAX_DELAY_BINS),
+                ("seed_window_period", 1, MAX_SEED_PERIOD),
+                ("seed_window_offset", 0, self.seed_window_period - 1)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} outside [{lo}, {hi}]")
         hold_time_filter((), self.hold_bins)
         seed_rejection_filter((), self.seed_window_offset,
                               self.seed_window_width, self.seed_window_period)

@@ -1,0 +1,106 @@
+"""Golden SHA-256 listings of the seed-300 and seed-305 run bundles.
+
+The acceptance fixture runs `run_experiment(ExperimentConfig(seed=S,
+herald_rate_hz=4e5))` for S = 300..309; `test_golden_bundle_listing`
+compares the bundles of S = 300 and 305 with `golden_bundles.json`.  The
+file also records the host fingerprint it was made on, because the sampler
+and the tomography go through BLAS and another BLAS build, core or thread
+count may legitimately move the last bit.
+
+Regenerate (about a minute), after a change that moves outputs on purpose:
+
+    PYTHONPATH=src python tests/golden_bundles.py
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import hashlib
+import json
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+GOLDEN = Path(__file__).with_name("golden_bundles.json")
+SEEDS = (300, 305)
+
+
+def listing(run_dir) -> list:
+    """Sorted "path sha256" lines of every file under run_dir."""
+    root = Path(run_dir)
+    return sorted(
+        f"{p.relative_to(root).as_posix()} "
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}"
+        for p in root.rglob("*") if p.is_file())
+
+
+def _openblas(symbol, restype=ctypes.c_int):
+    """Call a no-argument function of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        fn = getattr(ctypes.CDLL(path), symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], restype
+            return fn()
+    return None
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def fingerprint() -> dict:
+    """What the bundle bytes may legitimately depend on beyond the code."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": core.decode() if core else None,
+        "blas_threads": _openblas("scipy_openblas_get_num_threads64_"),
+        "cpu": _cpu_model(),
+    }
+
+
+def load() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def moved_files(expected: list, actual: list) -> list:
+    """Paths whose hash changed, plus files missing on either side."""
+    exp = dict(line.rsplit(" ", 1) for line in expected)
+    act = dict(line.rsplit(" ", 1) for line in actual)
+    return sorted(p for p in exp.keys() | act.keys()
+                  if exp.get(p) != act.get(p))
+
+
+def main():
+    from photonsub import harness as hx
+
+    bundles = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            out = Path(tmp) / str(seed)
+            hx.run_experiment(
+                hx.ExperimentConfig(seed=seed, herald_rate_hz=4e5), out)
+            bundles[str(seed)] = listing(out)
+    GOLDEN.write_text(json.dumps(
+        {"fingerprint": fingerprint(), "bundles": bundles}, indent=1) + "\n")
+    print(f"wrote {GOLDEN}: "
+          + ", ".join(f"seed {s} {len(v)} files" for s, v in bundles.items()))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,8 @@ from photonsub import fock_core as fc
 from photonsub import ng_metrics as ng
 from photonsub import harness as hx
 from photonsub.harness.calibration import MAX_LAG
-from photonsub.harness.generator import PIPELINE_COARSE_OFFSET, StreamGenerator
+from photonsub.harness.generator import (CHUNK, PIPELINE_COARSE_OFFSET,
+                                         StreamGenerator, _rng)
 from photonsub.hds import DEFAULT_PAGES
 from photonsub.homodyne_model import quadrature_operator
 from photonsub.pso import coincidence_pipeline
@@ -203,6 +204,20 @@ class TestGeneratorStatistics:
         a2, b2 = gen.background_pair(4_194_300, 4_194_350)
         np.testing.assert_array_equal(a1[100:150], a2)
         np.testing.assert_array_equal(b1[100:150], b2)
+
+    def test_normals_drawn_in_pieces_equal_whole_chunk_draws(self):
+        # windows that overlap, step back, skip ahead and cross chunk edges
+        # read the same normals as one draw of each whole chunk
+        gen = StreamGenerator(SMALL)
+        whole = np.concatenate([
+            _rng(SMALL.seed, 13, c + (1 << 32)).standard_normal(CHUNK)
+            for c in (-1, 0, 1)])
+        for lo, hi in ((-60, 1000), (900, 300_000), (299_950, 300_010),
+                       (10, 20), (2_000_000, 2_000_100),
+                       (CHUNK - 70, CHUNK + 5000), (CHUNK - 100, CHUNK - 10),
+                       (-CHUNK + 5, 7)):
+            np.testing.assert_array_equal(gen._z_stream(13, lo, hi),
+                                          whole[CHUNK + lo:CHUNK + hi])
 
     def test_heralded_sample_statistics_match_state(self):
         # chi-square of heralded x1 draws against the (1,1) state marginal

@@ -1,5 +1,8 @@
+import os
 import socket
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from photonsub import hds
 from photonsub.hds import protocol as proto
 from photonsub.hds.server import MAX_INTEGRATION_WINDOW, SCAN_BLOCK_WORDS
+from photonsub.hds.words import WORD_DTYPE
 from photonsub.homodyne_model import PhaseDrive
 
 
@@ -110,6 +114,56 @@ class TestRingBuffer:
         buf.overflow_number = hds.OVERFLOW_MASK
         buf.write(np.zeros(buf.capacity, dtype=np.uint32))
         assert buf.overflow_number == 0
+
+    def test_reset_takes_fresh_zeroed_storage(self):
+        buf = hds.RingBuffer(pages=8)
+        buf.write(np.arange(1, buf.capacity // 2 + 1, dtype=np.uint32))
+        held = buf.read(np.arange(10))
+        old = buf.data
+        buf.reset(start_cursor=2)
+        assert not buf.data.any()
+        assert buf.write_cursor == 2 and buf.overflow_number == 0
+        # a reader still holding the old storage reads what it held
+        np.testing.assert_array_equal(old[buf.physical_index(np.arange(10))],
+                                      held)
+
+    def test_resident_only_where_written(self):
+        # production geometry in a fresh process: writing one half, then
+        # one half again after a reset, must not make the whole buffer
+        # resident (scattered pages on huge-page storage would)
+        out = subprocess.run(
+            [sys.executable, "-c", _RESIDENCY_PROBE], capture_output=True,
+            text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        growth, capacity, zeroed = map(int, out.stdout.split())
+        assert zeroed == 1
+        assert growth <= 0.6 * capacity * WORD_DTYPE.itemsize
+
+
+_RESIDENCY_PROBE = """
+import resource
+import numpy as np
+from photonsub.hds import RingBuffer
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+piece = np.arange(1 << 20, dtype=np.uint32)
+before = peak()
+buf = RingBuffer()
+
+def write_half():
+    for lo in range(0, buf.half, piece.size):
+        buf.write(piece[:buf.half - lo])
+
+write_half()
+buf.reset(1)
+write_half()
+growth = peak() - before
+buf.reset(1)
+# after the growth is taken: on some kernels a read makes a page resident
+print(growth, buf.capacity, int(not buf.data.any()))
+"""
 
 
 class TestQueries:

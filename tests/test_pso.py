@@ -279,7 +279,13 @@ class TestConsole:
 
     @pytest.mark.parametrize("command", [
         "SET SEEDWIN 0 2000 1000", "SET SEEDWIN 0 5 0", "SET HOLD -1",
-        "SET ZDR 999999999", "SET ZDR -5"])
+        "SET ZDR 999999999", "SET ZDR -5",
+        # out-of-range integers: beyond int64, or beyond any delay the
+        # calibration can report
+        "SET SEEDWIN 5 3 99999999999999999999999",
+        "SET SEEDWIN 99999999999999999999999 3 1000",
+        "SET DELAYA 99999999999999999999999", "SET DELAYA 99999999999",
+        "SET DELAYB -65", "SET HOLD 99999999999999999999999"])
     def test_settings_the_filters_refuse_are_refused(self, tmp_path,
                                                      command):
         # a setting the next half's filters would raise on never reaches
@@ -293,6 +299,40 @@ class TestConsole:
         stats = engine.process_sealed_half(
             0, np.repeat(coarse * 3 + 1, 2), np.tile([0, 1], coarse.size))
         assert stats["events"] == coarse.size
+
+    _ARG = st.one_of(
+        st.integers(-100, 2000).map(str),
+        st.integers(-2 ** 80, 2 ** 80).map(str),
+        st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 22]).map(str),
+        st.sampled_from(["OFF", "off", "SINGLES", "COINC", "0x10", "1e9",
+                         "nan", ""]),
+        st.text(max_size=10))
+
+    @given(verb=st.one_of(st.just("SET"),
+                          st.sampled_from(["GET", "STATUS", "set",
+                                           "FROBNICATE"]),
+                          st.text(max_size=8)),
+           key=st.one_of(st.sampled_from(["DELAYA", "DELAYB", "HOLD",
+                                          "SEEDWIN"]),
+                         st.sampled_from(["ZDR", "KEEPLEADER", "MODE",
+                                          "NOPE"]),
+                         st.text(max_size=8)),
+           args=st.lists(_ARG, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_console_fuzz_then_one_half(self, tmp_path_factory, verb, key,
+                                        args):
+        # any command line gets one reply, and the next half processes
+        # under whatever configuration the console then holds
+        servers, engine = _loopback_setup(tmp_path_factory.mktemp("fuzz"))
+        before = engine.console.snapshot()
+        reply = engine.console.process_command(" ".join([verb, key, *args]))
+        assert isinstance(reply, str)
+        if reply.startswith("ERR"):
+            assert engine.console.snapshot() == before
+        coarse = np.arange(100, servers[0].buffer.half - 100, 50)
+        stats = engine.process_sealed_half(
+            0, np.repeat(coarse * 3 + 1, 2), np.tile([0, 1], coarse.size))
+        assert 0 <= stats["events"] <= coarse.size
 
 
 class TestRecords:
