@@ -19,6 +19,7 @@ import numpy as np
 from .. import ng_metrics
 from ..fock_core import lossy_subtracted_state
 from ..hds import HdsClient, HomodyneServer, InProcessTransport
+from ..parallel import task_map
 from ..pso import (DatasetWriter, PsoConsole, PsoEngine, PsoRunConfig,
                    coincidence_pipeline)
 from ..tomography import (ReconstructionReport, TomographyDataset,
@@ -136,9 +137,9 @@ def analyze_classes(class_records: dict, scales, config: ExperimentConfig,
                     expected: dict) -> dict:
     """Map each class's records to calibrated quadratures and phases,
     reconstruct them with the config's iteration cap and epsilon, and
-    compare with every expected state.  Returns {class: ClassAnalysis}."""
-    out = {}
-    for cls, records in class_records.items():
+    compare with every expected state, one task per class.  Returns
+    {class: ClassAnalysis}."""
+    def analyze(records):
         adc = records["adc"].astype(np.float64)
         data = TomographyDataset(adc[:, 0] / scales[0], adc[:, 2] / scales[1],
                                  DRIVE_A.theta_from_code(adc[:, 1]),
@@ -146,11 +147,13 @@ def analyze_classes(class_records: dict, scales, config: ExperimentConfig,
                                  n_c=config.n_c)
         rep = reconstruct(data, max_iterations=config.max_iterations,
                           epsilon=config.epsilon)
-        out[cls] = ClassAnalysis(
+        return ClassAnalysis(
             data, rep, ng_metrics.log_negativity(rep.rho),
             {ecls: ng_metrics.uhlmann_fidelity(rep.rho, estate)
              for ecls, estate in expected.items()})
-    return out
+
+    return dict(zip(class_records,
+                    task_map(analyze, class_records.values())))
 
 
 def _label(cls) -> str:
@@ -215,9 +218,12 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
     engine.save_heralds(os.path.join(out_dir, "heralds.bin"))
 
     expected = expected_states(config)
-    results = analyze_classes(
-        {cls: engine.writer.load_class(cls) for cls in expected},
-        scales, config, expected)
+    records = {cls: engine.writer.load_class(cls) for cls in expected}
+    # only the records and the ledger outlive acquisition: dropping the
+    # engine and the rig frees both servers' ring buffers
+    ledger = engine.report
+    del engine, rig
+    results = analyze_classes(records, scales, config, expected)
     for cls, res in results.items():
         # rolling variance of the summed joint quadrature, sorted by the
         # joint phase (window 500, shrunk for small desk runs)
@@ -248,16 +254,16 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
         floored_records_total={k: r.floored_records_total
                                for k, r in reps.items()},
         psd_repairs={k: r.psd_repairs for k, r in reps.items()},
-        conservation_ok=engine.report.conservation_holds(),
-        class_counts=dict(engine.report.class_counts),
+        conservation_ok=ledger.conservation_holds(),
+        class_counts=dict(ledger.class_counts),
         run_dir=str(out_dir),
         states={**{f"rec{k}": r.rho for k, r in reps.items()}, **exps},
     )
-    _write_report(out_dir, report, engine)
+    _write_report(out_dir, report, ledger)
     return report
 
 
-def _write_report(out_dir, report: ExperimentReport, engine):
+def _write_report(out_dir, report: ExperimentReport, ledger):
     for name, state in report.states.items():
         state.save(os.path.join(out_dir, f"state_{name}.tms"))
     payload = {
@@ -286,7 +292,7 @@ def _write_report(out_dir, report: ExperimentReport, engine):
         for key, val in payload.items():
             fh.write(f"{key}: {val}\n")
         fh.write("\nacquisition counters\n--------------------\n")
-        fh.write(engine.report.to_text() + "\n")
+        fh.write(ledger.to_text() + "\n")
 
 
 # ---------------------------------------------------------------------------

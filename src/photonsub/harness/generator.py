@@ -51,6 +51,14 @@ _STREAM_VACUUM_B = 17
 _STREAM_CAL = 18
 
 
+def periodic(table, lo: int, hi: int) -> np.ndarray:
+    """table[t % len(table)] for t in [lo, hi), tiled from contiguous
+    slices instead of gathered."""
+    start = lo % table.size
+    reps = -(-(start + hi - lo) // table.size)
+    return np.tile(table, reps)[start:start + hi - lo]
+
+
 def _rng(seed, stream, counter=0) -> np.random.Generator:
     # counter-based stream: (seed, stream id) in one key word, the chunk
     # counter in the other, so any sub-stream regenerates independently
@@ -96,6 +104,15 @@ class StreamGenerator:
         self._cov_amp = (np.sqrt(config.eta1 * config.eta2) * lam
                          / (1.0 - lam * lam))
         self._class_table = self._build_class_table()
+        # one period of the background correlation at mode time tau and of
+        # its complement, the drives' common period lcm(1e5, 1e4) samples
+        tau = np.arange(np.lcm(self.drive_a.period_samples,
+                               self.drive_b.period_samples))
+        th1 = self.drive_a.evaluate(tau + config.true_delay_a)[0]
+        th2 = self.drive_b.evaluate(tau + config.true_delay_b)[0]
+        self._rho_c = -self._cov_amp * np.cos(th1 + th2) / (
+            self._sig_a * self._sig_b)
+        self._rho_c_perp = np.sqrt(1.0 - self._rho_c ** 2)
         self._samplers: dict = {}
         self._z_state: dict = {}    # stream -> (chunk, rng, start, normals)
 
@@ -254,16 +271,11 @@ class StreamGenerator:
         tau + true_delay_b.  Chunk-keyed Philox streams make any sub-range
         reproducible.
         """
-        cfg = self.config
         z1 = self._z_stream(_STREAM_Z1, tau_lo, tau_hi)
         x_a = self._sig_a * z1
-        tau = np.arange(tau_lo, tau_hi)
-        th1 = self.drive_a.evaluate(tau + cfg.true_delay_a)[0]
-        th2 = self.drive_b.evaluate(tau + cfg.true_delay_b)[0]
-        cov = -self._cov_amp * np.cos(th1 + th2)
-        rho_c = cov / (self._sig_a * self._sig_b)
         z2 = self._z_stream(_STREAM_Z2, tau_lo, tau_hi)
-        x_b = self._sig_b * (rho_c * z1 + np.sqrt(1.0 - rho_c ** 2) * z2)
+        x_b = self._sig_b * (periodic(self._rho_c, tau_lo, tau_hi) * z1
+                             + periodic(self._rho_c_perp, tau_lo, tau_hi) * z2)
         return x_a, x_b
 
     def to_codes(self, x) -> np.ndarray:
@@ -299,7 +311,6 @@ class StreamGenerator:
                 vacuum = [_rng(cfg.seed, key, w_lo)
                           for key in (_STREAM_VACUUM_A, _STREAM_VACUUM_B)]
             n_shut = min(w_hi, cfg.shutter_bins) - w_lo
-            t = np.arange(w_lo, w_hi)
             # each channel carries its mode-time stream shifted by its own
             # path delay, so samples pair up at equal mode time; one pair
             # over the union of both mode-time windows serves both
@@ -315,7 +326,8 @@ class StreamGenerator:
                     x[:n_shut] = np.sqrt(0.5) * vac.standard_normal(n_shut)
                 i0, i1 = np.searchsorted(pos, (w_lo, w_hi))
                 x[pos[i0:i1] - w_lo] = vals[i0:i1]
-                server.ingest_samples(self.to_codes(x), drive.evaluate(t)[1])
+                server.ingest_samples(self.to_codes(x), periodic(
+                    drive.period_table[1], w_lo, w_hi))
 
     # ------------------------------------------------------------------
     # thermal delay calibration streams
@@ -351,7 +363,7 @@ class StreamGenerator:
         for lo in range(0, half, WINDOW):
             hi = min(lo + WINDOW, half)
             server.ingest_samples(np.clip(a[lo:hi], ADC_MIN, ADC_MAX),
-                                  drive.evaluate(np.arange(lo, hi))[1])
+                                  periodic(drive.period_table[1], lo, hi))
         # detector tags: pulse onsets plus a few dark counts
         n_dark = rng.poisson(_DARK_TAG_FRACTION * onsets.size)
         dark_tags = rng.integers(0, half, size=n_dark)

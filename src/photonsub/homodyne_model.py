@@ -16,6 +16,7 @@ import numpy as np
 
 from .fock_core import TwoModeState
 from .hds.words import ADC_MAX as ADC_CODE_MAX, ADC_MIN as ADC_CODE_MIN
+from .parallel import task_map
 
 __all__ = [
     "PovmElement",
@@ -35,7 +36,11 @@ __all__ = [
 
 _ADC_CODES = ADC_CODE_MAX - ADC_CODE_MIN + 1
 GRID_STEP, GRID_MASS_TOL = 0.02, 1e-4   # sampler cell width, missing mass
-SAMPLE_CHUNK = 2048     # draws per rotated-state batch in sample_batch
+# sample_batch: DRAW_BLOCK fixes the order the uniforms are read in, so
+# changing it changes the draws; COMPUTE_BLOCK draws per task, any value
+# gives the same draws
+DRAW_BLOCK = 2048
+COMPUTE_BLOCK = 64
 
 
 class GridMassError(ValueError):
@@ -145,12 +150,12 @@ class QuadratureSampler:
             state.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3))
         self._check_mass()
 
-    def _rotated(self, theta1, theta2, out=None) -> np.ndarray:
+    def _rotated(self, theta1, theta2) -> np.ndarray:
         """State conjugated by e^{i(n theta1 + m theta2)} per phase pair,
-        shaped (pairs, (n, n'), (m, m')) for the grid tables; out if given."""
+        shaped (pairs, (n, n'), (m, m')) for the grid tables."""
         ph = (np.exp(1j * np.outer(theta1, self._phases))[:, :, None]
               * np.exp(1j * np.outer(theta2, self._phases))[:, None, :])
-        q = np.multiply(ph[:, :, None, :, None], self._matrix_pairs, out=out)
+        q = ph[:, :, None, :, None] * self._matrix_pairs
         q = np.multiply(q, ph.conj()[:, None, :, None, :], out=q)
         return q.reshape((-1,) + self.state.matrix.shape)
 
@@ -170,41 +175,47 @@ class QuadratureSampler:
         return float(x1[0]), float(x2[0])
 
     def sample_batch(self, theta1, theta2, rng: np.random.Generator):
-        """Vectorized draws, one per phase pair, SAMPLE_CHUNK at a time.
-        Deterministic given the generator state."""
+        """Vectorized draws, one per phase pair; deterministic given the
+        generator state.  The uniforms come first, laid out in DRAW_BLOCK
+        blocks; the grid work then runs as COMPUTE_BLOCK tasks."""
         theta1 = np.asarray(theta1, dtype=float)
         theta2 = np.asarray(theta2, dtype=float)
         if theta1.shape != theta2.shape:
             raise ValueError("phase arrays must have matching shapes")
         n = theta1.size
+        # block [lo, hi) holds its (u1, u2, jitter1, jitter2) rows in turn
+        u = rng.random(4 * n)
+        uniforms = np.empty((4, n))
+        for lo in range(0, n, DRAW_BLOCK):
+            hi = min(lo + DRAW_BLOCK, n)
+            uniforms[:, lo:hi] = u[4 * lo:4 * hi].reshape(4, hi - lo)
         x1 = np.empty(n)
         x2 = np.empty(n)
-        # one rotated-state buffer reused by every chunk
-        q_buf = np.empty((min(SAMPLE_CHUNK, n),) + self._matrix_pairs.shape,
-                         dtype=complex)
-        for lo in range(0, n, SAMPLE_CHUNK):
-            hi = min(lo + SAMPLE_CHUNK, n)
-            m = hi - lo
-            q = self._rotated(theta1[lo:hi], theta2[lo:hi], out=q_buf[:m])
+
+        def draw(lo):
+            hi = min(lo + COMPUTE_BLOCK, n)
+            u1, u2, j1, j2 = uniforms[:, lo:hi]
+            q = self._rotated(theta1[lo:hi], theta2[lo:hi])
             # marginal over x2: row masses of the grid joint
-            marg = np.real((q @ self._gb_sum) @ self._gb.T)
-            np.clip(marg, 0.0, None, out=marg)
-            cdf1 = np.cumsum(marg, axis=1)
-            u1 = rng.random(m) * cdf1[:, -1]
-            # per-row searchsorted: cdf rows are nondecreasing
-            i1 = np.count_nonzero(cdf1 < u1[:, None], axis=1)
-            i1 = np.minimum(i1, self.grid.size - 1)
+            i1 = self._inverse_cdf(np.real((q @ self._gb_sum) @ self._gb.T),
+                                   u1)
             # conditional row for the chosen x1 cell
             left = (self._gb[i1][:, None, :] @ q)[:, 0, :]
-            rows = np.real(left @ self._gb.T)
-            np.clip(rows, 0.0, None, out=rows)
-            cdf2 = np.cumsum(rows, axis=1)
-            u2 = rng.random(m) * cdf2[:, -1]
-            i2 = np.count_nonzero(cdf2 < u2[:, None], axis=1)
-            i2 = np.minimum(i2, self.grid.size - 1)
-            x1[lo:hi] = self.grid[i1] + (rng.random(m) - 0.5) * GRID_STEP
-            x2[lo:hi] = self.grid[i2] + (rng.random(m) - 0.5) * GRID_STEP
+            i2 = self._inverse_cdf(np.real(left @ self._gb.T), u2)
+            x1[lo:hi] = self.grid[i1] + (j1 - 0.5) * GRID_STEP
+            x2[lo:hi] = self.grid[i2] + (j2 - 0.5) * GRID_STEP
+
+        task_map(draw, range(0, n, COMPUTE_BLOCK))
         return x1, x2
+
+    def _inverse_cdf(self, masses, u):
+        """Grid cell per row where the row's cumulative mass passes
+        u times the row total; negative masses count as zero."""
+        np.clip(masses, 0.0, None, out=masses)
+        cdf = np.cumsum(masses, axis=1)
+        # per-row searchsorted: cdf rows are nondecreasing
+        i = np.count_nonzero(cdf < (u * cdf[:, -1])[:, None], axis=1)
+        return np.minimum(i, self.grid.size - 1)
 
 
 def sample_quadratures(state: TwoModeState, theta1: float, theta2: float,
@@ -251,7 +262,7 @@ class PhaseDrive:
         return max(1, int(round(self.period_samples * self.reset_fraction)))
 
     @cached_property
-    def _period_table(self):
+    def period_table(self):
         """(theta, adc_code) at each sample u of one drive period."""
         u = np.arange(self.period_samples, dtype=np.int64)
         L = self.ramp_samples
@@ -270,7 +281,7 @@ class PhaseDrive:
     def evaluate(self, timetags):
         """(theta, adc_code, in_ramp) arrays for integer timetags."""
         u = np.asarray(timetags, dtype=np.int64) % self.period_samples
-        theta, code = self._period_table
+        theta, code = self.period_table
         return theta[u], code[u], u < self.ramp_samples
 
     def theta_from_code(self, code):

@@ -15,16 +15,16 @@ Regenerate (about a minute), after a change that moves outputs on purpose:
 from __future__ import annotations
 
 import ctypes
-import glob
 import hashlib
 import json
-import os
 import platform
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from photonsub.parallel import openblas
 
 GOLDEN = Path(__file__).with_name("golden_bundles.json")
 SEEDS = (300, 305)
@@ -40,14 +40,9 @@ def listing(run_dir) -> list:
 
 
 def _openblas(symbol, restype=ctypes.c_int):
-    """Call a no-argument function of numpy's bundled OpenBLAS, or None."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        fn = getattr(ctypes.CDLL(path), symbol, None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [], restype
-            return fn()
-    return None
+    """Value of a no-argument OpenBLAS query, or None without the library."""
+    fn = openblas(symbol, restype)
+    return None if fn is None else fn()
 
 
 def _cpu_model() -> str:

@@ -110,3 +110,37 @@ def dense_window_scan(subbins, sides, span_end):
             a[s:s + 9] = 0
             b[s:s + 9] = 0
     return events
+
+
+def sequential_sample_batch(sampler, theta1, theta2, rng, chunk=2048,
+                            step=0.02):
+    """Reference homodyne draws: one 2,048-draw block at a time, each
+    drawing its x1 uniforms, x2 uniforms, x1 jitters and x2 jitters from
+    rng in turn.  Reads the grid tables and the rotation of the
+    QuadratureSampler passed in."""
+    theta1 = np.asarray(theta1, dtype=float)
+    theta2 = np.asarray(theta2, dtype=float)
+    n = theta1.size
+    grid, gb, gb_sum = sampler.grid, sampler._gb, sampler._gb_sum
+    x1 = np.empty(n)
+    x2 = np.empty(n)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        m = hi - lo
+        q = sampler._rotated(theta1[lo:hi], theta2[lo:hi])
+        marg = np.real((q @ gb_sum) @ gb.T)
+        np.clip(marg, 0.0, None, out=marg)
+        cdf1 = np.cumsum(marg, axis=1)
+        u1 = rng.random(m) * cdf1[:, -1]
+        i1 = np.minimum(np.count_nonzero(cdf1 < u1[:, None], axis=1),
+                        grid.size - 1)
+        left = (gb[i1][:, None, :] @ q)[:, 0, :]
+        rows = np.real(left @ gb.T)
+        np.clip(rows, 0.0, None, out=rows)
+        cdf2 = np.cumsum(rows, axis=1)
+        u2 = rng.random(m) * cdf2[:, -1]
+        i2 = np.minimum(np.count_nonzero(cdf2 < u2[:, None], axis=1),
+                        grid.size - 1)
+        x1[lo:hi] = grid[i1] + (rng.random(m) - 0.5) * step
+        x2[lo:hi] = grid[i2] + (rng.random(m) - 0.5) * step
+    return x1, x2

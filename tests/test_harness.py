@@ -15,10 +15,11 @@ from photonsub import ng_metrics as ng
 from photonsub import harness as hx
 from photonsub.harness.calibration import MAX_LAG
 from photonsub.harness.generator import (CHUNK, PIPELINE_COARSE_OFFSET,
-                                         StreamGenerator, _rng)
+                                         StreamGenerator, _rng, periodic)
 from photonsub.hds import DEFAULT_PAGES
 from photonsub.homodyne_model import quadrature_operator
 from photonsub.pso import coincidence_pipeline
+from test_parallel import leftovers
 
 
 # herald rate kept moderate: the accidental-coincidence rate grows
@@ -205,6 +206,13 @@ class TestGeneratorStatistics:
         np.testing.assert_array_equal(a1[100:150], a2)
         np.testing.assert_array_equal(b1[100:150], b2)
 
+    @pytest.mark.parametrize("lo, hi", [(-250, 40), (0, 100), (95, 105),
+                                        (37, 338), (-1_000_003, -999_000)])
+    def test_periodic_slices_equal_the_modulo_gather(self, lo, hi):
+        table = np.random.default_rng(2).random(100)
+        np.testing.assert_array_equal(periodic(table, lo, hi),
+                                      table[np.arange(lo, hi) % 100])
+
     def test_normals_drawn_in_pieces_equal_whole_chunk_draws(self):
         # windows that overlap, step back, skip ahead and cross chunk edges
         # read the same normals as one draw of each whole chunk
@@ -306,11 +314,21 @@ class TestCalibration:
 @pytest.mark.slow
 class TestExperimentSmall:
     @pytest.fixture(scope="class")
-    def report(self, tmp_path_factory):
+    def run(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("exp")
+        before = leftovers()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            return hx.run_experiment(SMALL, out)
+            report = hx.run_experiment(SMALL, out)
+        return report, before, leftovers()
+
+    @pytest.fixture(scope="class")
+    def report(self, run):
+        return run[0]
+
+    def test_no_pool_thread_or_blas_pin_left(self, run):
+        _, before, after = run
+        assert after == before
 
     def test_conservation(self, report):
         assert report.conservation_ok

@@ -1,3 +1,4 @@
+import sys
 from math import pi, sqrt
 
 import numpy as np
@@ -7,6 +8,8 @@ from scipy.stats import chi2
 
 from photonsub import fock_core as fc
 from photonsub import homodyne_model as hm
+from photonsub import parallel
+from oracles import sequential_sample_batch
 
 
 class TestWavefunction:
@@ -182,6 +185,28 @@ class TestSampler:
         # 5 sigma statistical bound on the sample variance
         se = var_true * sqrt(2.0 / n)
         assert abs(x1.var() - var_true) < 5 * se + 1e-3
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("n", [3 * hm.DRAW_BLOCK + 77,
+                                   hm.COMPUTE_BLOCK - 17])
+    def test_draws_equal_the_sequential_loop(self, monkeypatch, workers, n):
+        # uniforms read up front and COMPUTE_BLOCK tasks on any number of
+        # workers, switching threads often, give the draws of one
+        # DRAW_BLOCK block at a time
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, eta1=0.55,
+                                eta2=0.50, n_sub=1, m_sub=1)
+        s = hm.QuadratureSampler(fc.lossy_subtracted_state(m, n_c=6))
+        phases = np.random.default_rng(8).random((2, n)) * 2 * pi
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = s.sample_batch(*phases, np.random.default_rng(13))
+        finally:
+            sys.setswitchinterval(interval)
+        want = sequential_sample_batch(s, *phases, np.random.default_rng(13))
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
     def test_grid_mass_guard(self):
         with pytest.raises(hm.GridMassError):
