@@ -1,19 +1,24 @@
-"""Golden SHA-256 listings of the seed-300 and seed-305 run bundles.
+"""Golden SHA-256 listings of the seed-300..309 run bundles.
 
 The acceptance fixture runs `run_experiment(ExperimentConfig(seed=S,
 herald_rate_hz=4e5))` for S = 300..309; `test_golden_bundle_listing`
-compares the bundles of S = 300 and 305 with `golden_bundles.json`.  The
-file also records the host fingerprint it was made on, because the sampler
-and the tomography go through BLAS and another BLAS build, core or thread
+compares every one of these bundles with `golden_bundles.json`.  The file
+also records the host fingerprint it was made on, because the sampler and
+the tomography go through BLAS and another BLAS build, core or thread
 count may legitimately move the last bit.
 
-Regenerate (about a minute), after a change that moves outputs on purpose:
+Regenerate (a few minutes), after a change that moves outputs on purpose:
 
     PYTHONPATH=src python tests/golden_bundles.py
+
+List the files that moved per seed, writing nothing:
+
+    PYTHONPATH=src python tests/golden_bundles.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
 import ctypes
 import hashlib
 import json
@@ -27,7 +32,7 @@ import numpy as np
 from photonsub.parallel import openblas
 
 GOLDEN = Path(__file__).with_name("golden_bundles.json")
-SEEDS = (300, 305)
+SEEDS = tuple(range(300, 310))
 
 
 def listing(run_dir) -> list:
@@ -81,20 +86,38 @@ def moved_files(expected: list, actual: list) -> list:
                   if exp.get(p) != act.get(p))
 
 
-def main():
+def bundles() -> dict:
+    """{seed: listing} of freshly run bundles for every seed in SEEDS."""
     from photonsub import harness as hx
 
-    bundles = {}
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
-            out = Path(tmp) / str(seed)
+            run_dir = Path(tmp) / str(seed)
             hx.run_experiment(
-                hx.ExperimentConfig(seed=seed, herald_rate_hz=4e5), out)
-            bundles[str(seed)] = listing(out)
+                hx.ExperimentConfig(seed=seed, herald_rate_hz=4e5), run_dir)
+            out[str(seed)] = listing(run_dir)
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="print the moved paths per seed against the "
+                             "stored listing instead of rewriting it")
+    args = parser.parse_args(argv)
+    fresh = bundles()
+    if args.diff:
+        stored = load()["bundles"]
+        for seed, lines in fresh.items():
+            moved = moved_files(stored.get(seed, []), lines)
+            print(f"seed {seed}: {' '.join(moved) if moved else 'unchanged'}")
+        return 0
     GOLDEN.write_text(json.dumps(
-        {"fingerprint": fingerprint(), "bundles": bundles}, indent=1) + "\n")
+        {"fingerprint": fingerprint(), "bundles": fresh}, indent=1) + "\n")
     print(f"wrote {GOLDEN}: "
-          + ", ".join(f"seed {s} {len(v)} files" for s, v in bundles.items()))
+          + ", ".join(f"seed {s} {len(v)} files" for s, v in fresh.items()))
+    return 0
 
 
 if __name__ == "__main__":

@@ -182,7 +182,7 @@ def test_criterion_5_entanglement_ordering(ten_runs):
 
 @pytest.mark.slow
 def test_golden_bundle_listing(ten_runs):
-    # the seed-300 and seed-305 bundles hash as committed; on a host with
+    # the seed-300..309 bundles hash as committed; on a host with
     # another fingerprint (BLAS build, core or threads, numpy, CPU) a moved
     # file is reported as xfail, naming the files and the differing fields
     golden = golden_bundles.load()
