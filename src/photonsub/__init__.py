@@ -8,9 +8,9 @@ photon-subtraction orchestrator) driven over synthetic detector streams.
 __version__ = "0.1.0"
 
 from .fock_core import (CoefficientTable, SubtractionModel, TwoModeState,
-                        circuit_oracle, lossy_subtracted_state,
-                        normalization_sq, pure_subtracted_state,
-                        subtraction_coefficient, success_probability)
+                        lossy_subtracted_state, normalization_sq,
+                        pure_subtracted_state, subtraction_coefficient,
+                        success_probability)
 from .ng_metrics import (StellarRankClass, WitnessResult,
                          closed_form_log_negativity, fock11_fidelity_closed,
                          log_negativity, uhlmann_fidelity, witness)
@@ -23,7 +23,7 @@ from .tomography import (ReconstructionReport, TomographyDataset, reconstruct,
 __all__ = [
     "SubtractionModel", "TwoModeState", "CoefficientTable",
     "subtraction_coefficient", "normalization_sq", "success_probability",
-    "pure_subtracted_state", "lossy_subtracted_state", "circuit_oracle",
+    "pure_subtracted_state", "lossy_subtracted_state",
     "StellarRankClass", "WitnessResult", "uhlmann_fidelity",
     "log_negativity", "closed_form_log_negativity",
     "fock11_fidelity_closed", "witness",

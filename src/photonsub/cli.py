@@ -21,16 +21,19 @@ from .harness import (ExperimentConfig, analyze_classes, build_rig,
 from .pso import read_class
 
 
-def _load_cfg(path) -> ExperimentConfig:
-    """The --config file's settings; an unreadable or invalid file ends the
-    command with one error line."""
-    if path is None:
-        return ExperimentConfig()
+def _read(load, path):
+    """load(path); an unreadable or invalid file ends the command with one
+    error line."""
     try:
-        return load_config(path)
+        return load(path)
     except (OSError, ValueError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
+
+
+def _load_cfg(path) -> ExperimentConfig:
+    """The --config file's settings, defaults without one."""
+    return ExperimentConfig() if path is None else _read(load_config, path)
 
 
 def cmd_calibrate(args):
@@ -96,7 +99,7 @@ def cmd_scan_delays(args):
 
 
 def cmd_witness(args):
-    state = TwoModeState.load(args.state)
+    state = _read(TwoModeState.load, args.state)
     res = ng_metrics.witness(state)
     print(f"F(|1,1>) = {res.fidelity_11:.6f}")
     print(f"stellar rank class: {res.rank_class.value}")

@@ -3,9 +3,9 @@
 Builds the (lossy) conditional states produced when n and m photons are
 tapped off the two modes of a squeezed-vacuum ladder state by weak
 beamsplitters, together with the closed-form coefficients, normalizations
-and heralding probabilities.  A brute-force beamsplitter-circuit oracle is
-included so every closed form can be checked against an independent
-construction; it applies each beamsplitter one photon-number block at a time.
+and heralding probabilities.  Every closed form is checked against the
+test suite's brute-force beamsplitter-circuit and Kraus oracles
+(`tests/oracles.py`).
 
 Conventions: squeezing phase fixed to zero, so every coefficient is real;
 two-mode basis index order is ``n * (n_c + 1) + m`` with n the photon
@@ -37,8 +37,7 @@ __all__ = [
     "success_probability",
     "pure_subtracted_state",
     "lossy_subtracted_state",
-    "circuit_oracle",
-    "beamsplitter_unitary",
+    "MAX_CUTOFF",
 ]
 
 # Relative tail threshold for the ladder series; the states of interest
@@ -47,9 +46,12 @@ _SERIES_RTOL = 1e-14
 _SERIES_KMAX_MARGIN = 80
 
 _DUMP_MAGIC = b"TMST\x01"
+_DUMP_HEADER = 5 + 12
+# largest Fock cutoff of a configured run or a loaded state: reconstruction
+# holds (n_c + 1)^2 complex amplitudes per record, 7 kB at 20
+MAX_CUTOFF = 20
 
 _HERM_TOL, _TRACE_TOL, _PSD_TOL = 1e-12, 1e-10, 1e-10    # validate()
-_LADDER_TAIL = 1e-12    # ladder weight default_working_cutoff leaves out
 
 
 class TruncationWarning(UserWarning):
@@ -198,11 +200,20 @@ class TwoModeState:
 
     @classmethod
     def from_dump(cls, raw: bytes) -> "TwoModeState":
-        if raw[:5] != _DUMP_MAGIC:
+        """Inverse of dump; ValueError for a wrong magic or length, a
+        cutoff above MAX_CUTOFF or a non-finite entry."""
+        if raw[:5] != _DUMP_MAGIC or len(raw) < _DUMP_HEADER:
             raise ValueError("not a two-mode state dump")
         n_c, w = struct.unpack_from("<Id", raw, 5)
+        if n_c > MAX_CUTOFF:
+            raise ValueError(f"cutoff {n_c} above {MAX_CUTOFF}")
         d = (n_c + 1) ** 2
-        mat = np.frombuffer(raw, dtype="<c16", count=d * d, offset=5 + 12)
+        if len(raw) != _DUMP_HEADER + 16 * d * d:
+            raise ValueError(f"{len(raw)} bytes; a cutoff-{n_c} dump has "
+                             f"{_DUMP_HEADER + 16 * d * d}")
+        mat = np.frombuffer(raw, dtype="<c16", offset=_DUMP_HEADER)
+        if not (np.isfinite(w) and np.isfinite(mat).all()):
+            raise ValueError("non-finite entries")
         return cls(n_c, mat.reshape(d, d).astype(complex), w)
 
     def save(self, path):
@@ -408,126 +419,3 @@ def lossy_subtracted_state(model: SubtractionModel, n_c: int) -> TwoModeState:
     discarded = max(0.0, 1.0 - kept)
     _warn_truncation(discarded, n_c)
     return TwoModeState(n_c, rho / kept, truncation_weight=discarded)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force circuit oracle
-# ---------------------------------------------------------------------------
-
-def _beamsplit(psi: np.ndarray, theta: float, axes: tuple,
-               convention: str) -> np.ndarray:
-    """exp(+-theta (a_i+ a_j - a_i a_j+)) ("subtract": +, "loss": -) on axes
-    (i, j) of psi, one block N = n_i + n_j at a time.  The block generator is
-    real antisymmetric tridiagonal, <a+1|g_N|a> = sqrt((a+1)(N-a)) with
-    a = n_i, cut to both truncations; U_N = V exp(i theta w) V+ from
-    eigh(-i g_N)."""
-    if convention not in ("subtract", "loss"):
-        raise ValueError("convention must be 'subtract' or 'loss'")
-    if convention == "loss":
-        theta = -theta
-    t = np.moveaxis(psi, axes, (0, 1))
-    di, dj = t.shape[:2]
-    out = np.empty(t.shape)
-    for n in range(di + dj - 1):
-        a = np.arange(max(0, n - dj + 1), min(n, di - 1) + 1)
-        s = np.sqrt((a[:-1] + 1.0) * (n - a[:-1]))
-        w, v = np.linalg.eigh(np.diag(-1j * s, -1) + np.diag(1j * s, 1))
-        u = ((v * np.exp(1j * theta * w)) @ v.conj().T).real
-        out[a, n - a] = np.tensordot(u, t[a, n - a], axes=1)
-    return np.moveaxis(out, (0, 1), axes)
-
-
-def beamsplitter_unitary(theta: float, dim: int, convention: str = "subtract") -> np.ndarray:
-    """Two-mode beamsplitter exp(theta (a1+ a2 - a1 a2+)) on a dim x dim
-    truncated pair of modes, rows and columns in the order n1 * dim + n2.
-
-    "subtract" maps a1+ -> cos a1+ - sin a2+ (tap convention with
-    sin^2 theta = R); "loss" maps a1+ -> cos a1+ + sin a2+ (environment
-    convention with cos^2 theta = eta).  The oracle's block kernel applied
-    to the identity; exact on every fully contained photon-number block.
-    """
-    eye = np.eye(dim * dim).reshape(dim, dim, dim * dim)
-    return _beamsplit(eye, theta, (0, 1), convention).reshape(dim * dim, dim * dim)
-
-
-def default_working_cutoff(model: SubtractionModel) -> int:
-    """Smallest per-mode cutoff keeping the ladder tail below _LADDER_TAIL."""
-    t2 = model.t_r ** 2
-    if t2 == 0.0:
-        return max(model.n_sub, model.m_sub, 2)
-    k = 0
-    w = 1.0
-    while w * t2 >= _LADDER_TAIL and k < 200:
-        w *= t2
-        k += 1
-    return max(k + 1, model.n_sub + 2, model.m_sub + 2, 4)
-
-
-def circuit_oracle(model: SubtractionModel, n_c: int,
-                   n_c_work: int | None = None) -> TwoModeState:
-    """Ground-truth state from explicit beamsplitter unitaries.
-
-    Builds the squeezed ladder on a working cutoff, entangles each mode with
-    an ancilla vacuum through a tap beamsplitter, projects the ancillas on
-    the subtraction signature, routes each mode through an environment
-    beamsplitter, traces the environments out, and finally truncates to
-    n_c.  Beamsplitters act on the state tensor one photon-number block at
-    a time.  Every closed form in this module is checked against this path.
-    """
-    if n_c_work is None:
-        # the ladder must decay relative to the signature's own norm, not
-        # just carry negligible absolute tail weight: tiny normalizations
-        # (high-order signatures) amplify any truncation residue
-        n_c_work = max(default_working_cutoff(model),
-                       _ladder_k_range(model, n_c)[-1] + 2)
-    t2 = model.t_r ** 2
-    tail = t2 ** (n_c_work + 1)
-    if tail >= 1e-12:
-        raise CutoffTooSmallError(
-            f"working cutoff {n_c_work} leaves ladder tail {tail:.2e} >= 1e-12")
-    if n_c_work < max(model.n_sub, model.m_sub):
-        raise CutoffTooSmallError("working cutoff below the subtraction signature")
-    dw = n_c_work + 1
-
-    # two-mode squeezed ladder, modes (1, 2)
-    lad = sqrt(1.0 - t2) * (-model.t_r) ** np.arange(dw)
-    psi = np.zeros((dw, dw))
-    psi[np.arange(dw), np.arange(dw)] = lad
-
-    # tap + project, one mode at a time to keep the tensor small
-    for mode, (R, n_tap) in enumerate([(model.R1, model.n_sub),
-                                       (model.R2, model.m_sub)]):
-        joint = np.tensordot(psi, np.array([1.0] + [0.0] * (dw - 1)), axes=0)
-        joint = _beamsplit(joint, np.arcsin(sqrt(R)), (mode, 2), "subtract")
-        psi = joint.take(n_tap, axis=2)
-
-    success = float(np.vdot(psi, psi).real)
-    if success == 0.0:
-        raise ZeroProbabilityError("zero heralding amplitude in oracle circuit")
-    pure_amplitudes = psi.copy()
-
-    if model.eta1 == 1.0 and model.eta2 == 1.0:
-        rho_full = np.einsum("ij,kl->ijkl", psi, psi.conj()).reshape(dw * dw, dw * dw)
-    else:
-        # loss beamsplitters against environment vacua, then trace them out
-        joint = np.zeros((dw, dw, dw, dw))
-        joint[:, :, 0, 0] = psi
-        joint = _beamsplit(joint, np.arccos(sqrt(model.eta1)), (0, 2), "loss")
-        joint = _beamsplit(joint, np.arccos(sqrt(model.eta2)), (1, 3), "loss")
-        m = joint.reshape(dw * dw, dw * dw)  # (modes) x (environments)
-        rho_full = m @ m.conj().T
-    rho_full /= np.trace(rho_full).real
-
-    # truncate to n_c and renormalize
-    if n_c > n_c_work:
-        raise ValueError("n_c must not exceed the working cutoff")
-    d = n_c + 1
-    keep = (np.arange(dw)[:, None] * dw + np.arange(dw)[None, :])[:d, :d].ravel()
-    rho_t = rho_full[np.ix_(keep, keep)]
-    kept = float(np.trace(rho_t).real)
-    state = TwoModeState(n_c, rho_t / kept, truncation_weight=max(0.0, 1.0 - kept))
-    state.oracle_success_probability = success
-    # unnormalized projected ladder amplitudes, signs included, for
-    # coefficient-level comparisons
-    state.oracle_pure_amplitudes = pure_amplitudes
-    return state

@@ -11,16 +11,13 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
 
-from ..fock_core import SubtractionModel
+from ..fock_core import MAX_CUTOFF, SubtractionModel
 from ..hds import DEFAULT_PAGES, PAGE_WORDS, HomodyneServer
 from ..pso import PsoRunConfig
 from .calibration import MAX_LAG
 from .generator import PIPELINE_COARSE_OFFSET, SIDE_CLASS_CAP
 
 DEFAULT_CLASS_TARGETS = {(1, 1): 10_000, (0, 0): 10_000}
-# largest Fock cutoff: reconstruction holds (n_c + 1)^2 complex amplitudes
-# per record, 7 kB at 20
-MAX_CUTOFF = 20
 MAX_CONFIG_BYTES = 1 << 16      # a full config is under 1 kB
 
 

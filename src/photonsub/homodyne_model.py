@@ -3,8 +3,10 @@
 Quadrature convention: x_theta = (a e^{-i theta} + a+ e^{i theta})/sqrt(2),
 hbar = 1, vacuum variance 1/2.  Provides the oscillator wavefunctions via
 the stable normalized recurrence, the rank-1 POVM elements, the joint
-two-mode quadrature density, a grid-based inverse-CDF sampler, and the
-sawtooth phase-drive model used by the acquisition plane.
+two-mode quadrature density, the real pair coordinates in which that
+density is one real bilinear form (shared by the sampler and the
+tomography), a grid-based inverse-CDF sampler, and the sawtooth
+phase-drive model used by the acquisition plane.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "PovmElement",
     "PhaseDrive",
     "GridMassError",
+    "PairCoordinates",
     "oscillator_wavefunction",
     "hermite_functions",
     "povm_element",
@@ -40,7 +43,7 @@ GRID_STEP, GRID_MASS_TOL = 0.02, 1e-4   # sampler cell width, missing mass
 # changing it changes the draws; COMPUTE_BLOCK draws per task, any value
 # gives the same draws
 DRAW_BLOCK = 2048
-COMPUTE_BLOCK = 64
+COMPUTE_BLOCK = 1024
 
 
 class GridMassError(ValueError):
@@ -120,6 +123,76 @@ def joint_probability(state: TwoModeState, x1: float, x2: float,
     return 0.0 if -1e-14 < p < 0.0 else p
 
 
+class PairCoordinates:
+    """The two-mode homodyne density as one real bilinear form.
+
+    One mode at (x, theta) has the real d^2-vector alpha = [psi_n^2 ;
+    psi_n psi_n' cos((n-n') theta) ; psi_n psi_n' sin((n-n') theta)]
+    (n < n' in the last two blocks), and a fixed complex T maps it to the
+    pair products A[n, n'] = psi_n psi_n' e^{i(n-n') theta}.  With M the
+    state in (n, n'), (m, m') order, p = A1^T M A2 = alpha1^T K alpha2 for
+    the real K = Re(T^T M T), and sum_i Pi_i / p_i is conj(T G T^T) for the
+    real G = sum_i alpha1_i alpha2_i^T / p_i.  `expand` puts the phases on
+    the phase-free gamma = [psi_n^2 ; psi_n psi_n']; `fold` is its
+    transpose.
+    """
+
+    def __init__(self, n_c: int):
+        d = self.d = n_c + 1
+        self._n, self._m = np.triu_indices(d, 1)
+        cols = d + np.arange(self._n.size)
+        t = self._t = np.zeros((d * d, d * d), dtype=complex)
+        t[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+        for rows, sign in ((self._n * d + self._m, 1j),
+                           (self._m * d + self._n, -1j)):
+            t[rows, cols], t[rows, cols + cols.size] = 1.0, sign
+
+    def phases(self, theta):
+        """(cos, sin) of (n - n') theta per pair, shape theta.shape + (h,);
+        evaluated once per difference n - n' = -1 .. -(d - 1)."""
+        arg = np.multiply.outer(theta, -np.arange(1, self.d))
+        k = self._m - self._n - 1
+        return np.cos(arg)[..., k], np.sin(arg)[..., k]
+
+    def products(self, x) -> np.ndarray:
+        """gamma at points x, shape x.shape + (d + h,)."""
+        psi = hermite_functions(self.d - 1, x)
+        return np.moveaxis(
+            np.concatenate((psi * psi, psi[self._n] * psi[self._m])), 0, -1)
+
+    def expand(self, gamma, phases) -> np.ndarray:
+        """alpha rows from gamma rows (broadcast) at the given phases."""
+        c, s = phases
+        gamma = np.broadcast_to(gamma, c.shape[:-1] + gamma.shape[-1:])
+        off = gamma[..., self.d:]
+        return np.concatenate((gamma[..., :self.d], off * c, off * s), axis=-1)
+
+    def fold(self, u, phases) -> np.ndarray:
+        """Transpose of expand: [u_d ; cos * u_c + sin * u_s] per row."""
+        c, s = phases
+        h = c.shape[-1]
+        return np.concatenate(
+            (u[..., :self.d],
+             c * u[..., self.d:self.d + h] + s * u[..., self.d + h:]), axis=-1)
+
+    def alpha(self, x, theta) -> np.ndarray:
+        return self.expand(self.products(x), self.phases(theta))
+
+    def _reorder(self, mat):
+        """(n, m), (n', m') <-> (n, n'), (m, m'); its own inverse."""
+        d = self.d
+        return mat.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, -1)
+
+    def density(self, rho_matrix) -> np.ndarray:
+        """K with p(x1, x2) = alpha1^T K alpha2 for the state matrix."""
+        return np.ascontiguousarray(
+            (self._t.T @ self._reorder(rho_matrix) @ self._t).real)
+
+    def operator(self, g) -> np.ndarray:
+        """The two-mode operator whose pair form is conj(T g T^T)."""
+        return self._reorder((self._t @ g @ self._t.T).conj())
+
+
 # ---------------------------------------------------------------------------
 # Grid sampler
 # ---------------------------------------------------------------------------
@@ -127,47 +200,36 @@ def joint_probability(state: TwoModeState, x1: float, x2: float,
 class QuadratureSampler:
     """Inverse-CDF sampler for joint homodyne outcomes of a two-mode state.
 
-    Cell probabilities come from the joint density evaluated on a square
-    grid (default [-6, 6], step GRID_STEP); a draw picks the x1 cell from the
+    Cell probabilities come from the joint density on a square grid
+    (default [-6, 6], step GRID_STEP); a draw picks the x1 cell from the
     grid marginal, the x2 cell from that row, and jitters uniformly within
-    the cell.  Phase dependence enters by rotating the state with the
-    diagonal phase unitary, so the real Hermite-product tables are built
-    once per state.
+    the cell.  In pair coordinates the x1 mass up to cell k is
+    C_k . fold_theta1(K s(theta2)), with C the prefix sums of the grid's
+    gamma rows and s = expand(C_last); given cell i1, the x2 row is
+    C_k . fold_theta2(K^T alpha(x_i1, theta1)).  Both cells are found by
+    bisection over C, so a draw costs two d^2 products and no per-cell
+    work.
     """
 
     def __init__(self, state: TwoModeState, grid_min: float = -6.0,
                  grid_max: float = 6.0):
         self.state = state
         self.grid = np.arange(grid_min, grid_max + GRID_STEP / 2, GRID_STEP)
-        d = state.n_c + 1
-        psi = hermite_functions(state.n_c, self.grid)          # (d, G)
-        # G1b[g, n*d+n'] = psi_n(x_g) psi_n'(x_g)
-        self._gb = np.einsum("ng,mg->gnm", psi, psi).reshape(self.grid.size, d * d)
-        self._gb_sum = self._gb.sum(axis=0)
-        self._phases = np.arange(d)
-        # rho[(n, m), (n', m')] stored as [n, n', m, m']
-        self._matrix_pairs = np.ascontiguousarray(
-            state.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3))
+        self._pairs = PairCoordinates(state.n_c)
+        self._gamma = self._pairs.products(self.grid)
+        self._cum = np.cumsum(self._gamma, axis=0)
+        self._k = self._pairs.density(state.matrix)
         self._check_mass()
 
-    def _rotated(self, theta1, theta2) -> np.ndarray:
-        """State conjugated by e^{i(n theta1 + m theta2)} per phase pair,
-        shaped (pairs, (n, n'), (m, m')) for the grid tables."""
-        ph = (np.exp(1j * np.outer(theta1, self._phases))[:, :, None]
-              * np.exp(1j * np.outer(theta2, self._phases))[:, None, :])
-        q = ph[:, :, None, :, None] * self._matrix_pairs
-        q = np.multiply(q, ph.conj()[:, None, :, None, :], out=q)
-        return q.reshape((-1,) + self.state.matrix.shape)
-
     def _check_mass(self):
-        phases = ((0.0, 0.0), (np.pi / 3, 1.1), (1.9, 0.4))
-        q = self._rotated(*np.transpose(phases))
-        for (th1, th2), qk in zip(phases, q):
-            total = float(np.real(self._gb_sum @ qk @ self._gb_sum)) * GRID_STEP ** 2
+        th1, th2 = th = np.array([[0.0, np.pi / 3, 1.9], [0.0, 1.1, 0.4]])
+        s1, s2 = self._pairs.expand(self._cum[-1], self._pairs.phases(th))
+        totals = np.einsum("ij,ij->i", s1 @ self._k, s2) * GRID_STEP ** 2
+        for a, b, total in zip(th1, th2, totals):
             if total < 1.0 - GRID_MASS_TOL:
                 raise GridMassError(
                     f"grid holds {total:.6f} of unit mass at phases "
-                    f"({th1:.2f}, {th2:.2f}); widen the grid")
+                    f"({a:.2f}, {b:.2f}); widen the grid")
 
     def sample(self, theta1: float, theta2: float, rng: np.random.Generator):
         """One (x1, x2) draw at the given local-oscillator phases."""
@@ -191,31 +253,37 @@ class QuadratureSampler:
             uniforms[:, lo:hi] = u[4 * lo:4 * hi].reshape(4, hi - lo)
         x1 = np.empty(n)
         x2 = np.empty(n)
+        pc = self._pairs
 
         def draw(lo):
             hi = min(lo + COMPUTE_BLOCK, n)
             u1, u2, j1, j2 = uniforms[:, lo:hi]
-            q = self._rotated(theta1[lo:hi], theta2[lo:hi])
-            # marginal over x2: row masses of the grid joint
-            i1 = self._inverse_cdf(np.real((q @ self._gb_sum) @ self._gb.T),
-                                   u1)
-            # conditional row for the chosen x1 cell
-            left = (self._gb[i1][:, None, :] @ q)[:, 0, :]
-            i2 = self._inverse_cdf(np.real(left @ self._gb.T), u2)
+            ph1, ph2 = pc.phases(theta1[lo:hi]), pc.phases(theta2[lo:hi])
+            s2 = pc.expand(self._cum[-1], ph2)
+            i1 = self._cell(pc.fold(s2 @ self._k.T, ph1), u1)
+            a1 = pc.expand(self._gamma[i1], ph1)
+            i2 = self._cell(pc.fold(a1 @ self._k, ph2), u2)
             x1[lo:hi] = self.grid[i1] + (j1 - 0.5) * GRID_STEP
             x2[lo:hi] = self.grid[i2] + (j2 - 0.5) * GRID_STEP
 
         task_map(draw, range(0, n, COMPUTE_BLOCK))
         return x1, x2
 
-    def _inverse_cdf(self, masses, u):
-        """Grid cell per row where the row's cumulative mass passes
-        u times the row total; negative masses count as zero."""
-        np.clip(masses, 0.0, None, out=masses)
-        cdf = np.cumsum(masses, axis=1)
-        # per-row searchsorted: cdf rows are nondecreasing
-        i = np.count_nonzero(cdf < (u * cdf[:, -1])[:, None], axis=1)
-        return np.minimum(i, self.grid.size - 1)
+    def _cell(self, w, u):
+        """Per row, the number of leading cells whose cumulative mass
+        C_k . w stays below u times the total, capped at the last cell:
+        a bisection over the nondecreasing prefix sums."""
+        size = self.grid.size
+        target = u * (w @ self._cum[-1])
+        i = np.zeros(u.size, dtype=np.intp)
+        step = 1 << (size.bit_length() - 1)
+        while step:
+            j = np.minimum(i + step, size)
+            below = np.einsum("ij,ij->i", self._cum.take(j - 1, axis=0),
+                              w) < target
+            i = np.where(below, j, i)
+            step >>= 1
+        return np.minimum(i, size - 1)
 
 
 def sample_quadratures(state: TwoModeState, theta1: float, theta2: float,

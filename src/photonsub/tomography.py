@@ -15,6 +15,11 @@ The stopping statistic is the standard max-eigenvalue bound on the
 remaining log-likelihood improvement, lambda_max(R) - N, evaluated at y;
 the iteration stops below epsilon * N and returns the state it was
 measured on.
+
+Each record enters through its real pair coordinates alpha1, alpha2
+(`homodyne_model.PairCoordinates`): p_i = alpha1_i^T K alpha2_i with K
+real, and R comes back from the real G = sum_i alpha1_i alpha2_i^T / p_i.
+The two N-record products per iteration are therefore real, not complex.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock_core import TwoModeState
-from .homodyne_model import two_mode_vectors
+from .homodyne_model import PairCoordinates
 
 __all__ = [
     "TomographyDataset",
@@ -90,10 +95,10 @@ class TomographyDataset:
     def size(self) -> int:
         return self.x1.size
 
-    def measurement_vectors(self) -> np.ndarray:
-        """Row i is the rank-1 POVM factor of record i, shape (N, D)."""
-        return two_mode_vectors(self.x1, self.x2, self.theta1, self.theta2,
-                                self.n_c)
+    def pair_coordinates(self, pairs: PairCoordinates):
+        """(alpha1, alpha2): the records' pair coordinates, each (N, D)."""
+        return (pairs.alpha(self.x1, self.theta1),
+                pairs.alpha(self.x2, self.theta2))
 
 
 @dataclass
@@ -107,20 +112,19 @@ class ReconstructionReport:
     psd_repairs: int = 0
 
 
-def _r_kernel(rho_mat: np.ndarray, v: np.ndarray, v_conj: np.ndarray):
-    """(R, p, floored_count): p_i = <v_i| rho |v_i> floored, R = sum_i
-    Pi_i / p_i; raises RegularizationError past 1% floored records.
-    v_conj is v.conj(), passed in so iterations conjugate v only once."""
-    p = np.einsum("ij,ij->i", v_conj @ rho_mat, v).real
+def _likelihood_terms(pairs, alpha, rho_mat):
+    """(R, p, floored_count): p_i = alpha1_i^T K alpha2_i floored, R =
+    sum_i Pi_i / p_i; raises RegularizationError past 1% floored records.
+    alpha is the (alpha1, alpha2) pair of the dataset's coordinates."""
+    a1, a2 = alpha
+    p = np.einsum("ij,ij->i", a1 @ pairs.density(rho_mat), a2)
     floored = int(np.count_nonzero(p < PROBABILITY_FLOOR))
     np.clip(p, PROBABILITY_FLOOR, None, out=p)
     if floored > MAX_FLOORED_FRACTION * p.size:
         raise RegularizationError(
             f"{floored} of {p.size} records hit the probability floor; "
             "the state model cannot explain the data")
-    # Pi_i[m, n] = v_im conj(v_in), so the weighted sum contracts v against
-    # its conjugate on the right
-    r = (v.T * (1.0 / p)) @ v_conj
+    r = pairs.operator((a1.T * (1.0 / p)) @ a2)
     return 0.5 * (r + r.conj().T), p, floored
 
 
@@ -147,8 +151,9 @@ def r_operator(rho: TwoModeState, data: TomographyDataset):
     """
     if rho.n_c != data.n_c:
         raise ValueError("state and dataset cutoffs differ")
-    v = data.measurement_vectors()
-    r, _, floored = _r_kernel(rho.matrix, v, v.conj())
+    pairs = PairCoordinates(data.n_c)
+    r, _, floored = _likelihood_terms(pairs, data.pair_coordinates(pairs),
+                                      rho.matrix)
     return r, floored
 
 
@@ -176,8 +181,8 @@ def reconstruct(data: TomographyDataset, max_iterations: int = 2000,
         raise ValueError("empty dataset")
     d = (data.n_c + 1) ** 2
     n = data.size
-    v = data.measurement_vectors()
-    v_conj = v.conj()
+    pairs = PairCoordinates(data.n_c)
+    alpha = data.pair_coordinates(pairs)
     eye = np.eye(d, dtype=complex)
     rho = prev = eye / d
     t = 1.0
@@ -192,7 +197,7 @@ def reconstruct(data: TomographyDataset, max_iterations: int = 2000,
         if t > 1.0:
             y, rep = _rrhor_update(eye, rho + (t - 1.0) / t_next * (rho - prev))
             repairs += rep
-        r, p, floored = _r_kernel(y, v, v_conj)
+        r, p, floored = _likelihood_terms(pairs, alpha, y)
         floored_total += floored
         loglik.append(float(np.log(p).sum()))
         bound = float(np.linalg.eigvalsh(r)[-1] - n)

@@ -1,13 +1,17 @@
 """Independent brute-force oracles shared by the test suite.
 
 These deliberately re-derive results along different code paths than the
-library: Kraus-operator loss channels, naive series sums, dense window
-scans, floor division.  They must never import the implementation they
-check beyond basic data types.
+library: beamsplitter circuits and Kraus-operator loss channels, naive
+series sums, complex rank-one vectors, dense window scans, floor division.
+They must never import the implementation they check beyond basic data
+types.
 """
 
 import numpy as np
 from math import comb, sqrt, tanh
+
+from photonsub.fock_core import (CutoffTooSmallError, TwoModeState,
+                                 ZeroProbabilityError)
 
 
 def binom_amp(k, n, R):
@@ -78,6 +82,139 @@ def pure_ladder_amplitudes(n, m, r, R1, R2, dw):
     return psi
 
 
+def _beamsplit(psi, theta, axes, convention):
+    """exp(+-theta (a_i+ a_j - a_i a_j+)) ("subtract": +, "loss": -) on axes
+    (i, j) of psi, one block N = n_i + n_j at a time.  The block generator is
+    real antisymmetric tridiagonal, <a+1|g_N|a> = sqrt((a+1)(N-a)) with
+    a = n_i, cut to both truncations; U_N = V exp(i theta w) V+ from
+    eigh(-i g_N)."""
+    if convention not in ("subtract", "loss"):
+        raise ValueError("convention must be 'subtract' or 'loss'")
+    if convention == "loss":
+        theta = -theta
+    t = np.moveaxis(psi, axes, (0, 1))
+    di, dj = t.shape[:2]
+    out = np.empty(t.shape)
+    for n in range(di + dj - 1):
+        a = np.arange(max(0, n - dj + 1), min(n, di - 1) + 1)
+        s = np.sqrt((a[:-1] + 1.0) * (n - a[:-1]))
+        w, v = np.linalg.eigh(np.diag(-1j * s, -1) + np.diag(1j * s, 1))
+        u = ((v * np.exp(1j * theta * w)) @ v.conj().T).real
+        out[a, n - a] = np.tensordot(u, t[a, n - a], axes=1)
+    return np.moveaxis(out, (0, 1), axes)
+
+
+def beamsplitter_unitary(theta, dim, convention="subtract"):
+    """Two-mode beamsplitter exp(theta (a1+ a2 - a1 a2+)) on a dim x dim
+    truncated pair of modes, rows and columns in the order n1 * dim + n2.
+
+    "subtract" maps a1+ -> cos a1+ - sin a2+ (tap convention with
+    sin^2 theta = R); "loss" maps a1+ -> cos a1+ + sin a2+ (environment
+    convention with cos^2 theta = eta).  The oracle's block kernel applied
+    to the identity; exact on every fully contained photon-number block.
+    """
+    eye = np.eye(dim * dim).reshape(dim, dim, dim * dim)
+    return _beamsplit(eye, theta, (0, 1), convention).reshape(dim * dim, dim * dim)
+
+
+def default_working_cutoff(model) -> int:
+    """Smallest per-mode cutoff keeping the ladder tail below 1e-12."""
+    t2 = model.t_r ** 2
+    if t2 == 0.0:
+        return max(model.n_sub, model.m_sub, 2)
+    k = 0
+    w = 1.0
+    while w * t2 >= 1e-12 and k < 200:
+        w *= t2
+        k += 1
+    return max(k + 1, model.n_sub + 2, model.m_sub + 2, 4)
+
+
+def ladder_k_max(model, n_c):
+    """Last ladder index a cutoff-n_c state needs: past the cutoff by four
+    and below 1e-14 of the accumulated norm, at most 80 terms on."""
+    n, m = model.n_sub, model.m_sub
+    acc = 0.0
+    k = max(n, m)
+    for _ in range(81):
+        c2 = naive_coefficient(k, n, m, model.r, model.R1, model.R2) ** 2
+        acc += c2
+        if k - max(n, m) > n_c + 4 and (acc == 0.0 or c2 < 1e-14 * acc):
+            break
+        k += 1
+    return k
+
+
+def circuit_oracle(model, n_c: int, n_c_work=None):
+    """Ground-truth state from explicit beamsplitter unitaries.
+
+    Builds the squeezed ladder on a working cutoff, entangles each mode with
+    an ancilla vacuum through a tap beamsplitter, projects the ancillas on
+    the subtraction signature, routes each mode through an environment
+    beamsplitter, traces the environments out, and finally truncates to
+    n_c.  Beamsplitters act on the state tensor one photon-number block at
+    a time.  Every closed form of `photonsub.fock_core` is checked against
+    this path.
+    """
+    if n_c_work is None:
+        # the ladder must decay relative to the signature's own norm, not
+        # just carry negligible absolute tail weight: tiny normalizations
+        # (high-order signatures) amplify any truncation residue
+        n_c_work = max(default_working_cutoff(model),
+                       ladder_k_max(model, n_c) + 2)
+    t2 = model.t_r ** 2
+    tail = t2 ** (n_c_work + 1)
+    if tail >= 1e-12:
+        raise CutoffTooSmallError(
+            f"working cutoff {n_c_work} leaves ladder tail {tail:.2e} >= 1e-12")
+    if n_c_work < max(model.n_sub, model.m_sub):
+        raise CutoffTooSmallError("working cutoff below the subtraction signature")
+    dw = n_c_work + 1
+
+    # two-mode squeezed ladder, modes (1, 2)
+    lad = sqrt(1.0 - t2) * (-model.t_r) ** np.arange(dw)
+    psi = np.zeros((dw, dw))
+    psi[np.arange(dw), np.arange(dw)] = lad
+
+    # tap + project, one mode at a time to keep the tensor small
+    for mode, (R, n_tap) in enumerate([(model.R1, model.n_sub),
+                                       (model.R2, model.m_sub)]):
+        joint = np.tensordot(psi, np.array([1.0] + [0.0] * (dw - 1)), axes=0)
+        joint = _beamsplit(joint, np.arcsin(sqrt(R)), (mode, 2), "subtract")
+        psi = joint.take(n_tap, axis=2)
+
+    success = float(np.vdot(psi, psi).real)
+    if success == 0.0:
+        raise ZeroProbabilityError("zero heralding amplitude in oracle circuit")
+    pure_amplitudes = psi.copy()
+
+    if model.eta1 == 1.0 and model.eta2 == 1.0:
+        rho_full = np.einsum("ij,kl->ijkl", psi, psi.conj()).reshape(dw * dw, dw * dw)
+    else:
+        # loss beamsplitters against environment vacua, then trace them out
+        joint = np.zeros((dw, dw, dw, dw))
+        joint[:, :, 0, 0] = psi
+        joint = _beamsplit(joint, np.arccos(sqrt(model.eta1)), (0, 2), "loss")
+        joint = _beamsplit(joint, np.arccos(sqrt(model.eta2)), (1, 3), "loss")
+        m = joint.reshape(dw * dw, dw * dw)  # (modes) x (environments)
+        rho_full = m @ m.conj().T
+    rho_full /= np.trace(rho_full).real
+
+    # truncate to n_c and renormalize
+    if n_c > n_c_work:
+        raise ValueError("n_c must not exceed the working cutoff")
+    d = n_c + 1
+    keep = (np.arange(dw)[:, None] * dw + np.arange(dw)[None, :])[:d, :d].ravel()
+    rho_t = rho_full[np.ix_(keep, keep)]
+    kept = float(np.trace(rho_t).real)
+    state = TwoModeState(n_c, rho_t / kept, truncation_weight=max(0.0, 1.0 - kept))
+    state.oracle_success_probability = success
+    # unnormalized projected ladder amplitudes, signs included, for
+    # coefficient-level comparisons
+    state.oracle_pure_amplitudes = pure_amplitudes
+    return state
+
+
 def centroid_division_oracle(counts):
     """floor(sum(i * c_i) / sum(c_i)) over the 9-position window."""
     counts = np.asarray(counts)
@@ -112,22 +249,73 @@ def dense_window_scan(subbins, sides, span_end):
     return events
 
 
+def hermite_function_table(n_c, x):
+    """psi_0..psi_n_c at points x, shape (n_c + 1,) + x.shape, from
+    scipy's physicists' Hermite polynomials."""
+    from scipy.special import eval_hermite, factorial
+
+    x = np.asarray(x, dtype=float)
+    n = np.arange(n_c + 1).reshape((-1,) + (1,) * x.ndim)
+    return (eval_hermite(n, x) * np.exp(-0.5 * x * x)
+            / np.sqrt(2.0 ** n * factorial(n) * np.sqrt(np.pi)))
+
+
+def rank_one_vectors(x1, x2, theta1, theta2, n_c):
+    """Row i is <n, m|x1_i theta1_i, x2_i theta2_i> at index n*(n_c+1)+m."""
+    n = np.arange(n_c + 1)
+    v1 = hermite_function_table(n_c, x1).T * np.exp(
+        -1j * np.outer(theta1, n))
+    v2 = hermite_function_table(n_c, x2).T * np.exp(
+        -1j * np.outer(theta2, n))
+    return (v1[:, :, None] * v2[:, None, :]).reshape(len(v1), -1)
+
+
+def r_operator_from_vectors(rho, v, floor=1e-12):
+    """(R, p, floored): p_i = <v_i|rho|v_i> floored, R = sum_i
+    |v_i><v_i| / p_i, Hermitised; the complex-vector formula."""
+    p = np.einsum("ij,ij->i", v.conj() @ rho, v).real
+    floored = int(np.count_nonzero(p < floor))
+    p = np.clip(p, floor, None)
+    r = (v.T / p) @ v.conj()
+    return 0.5 * (r + r.conj().T), p, floored
+
+
 def sequential_sample_batch(sampler, theta1, theta2, rng, chunk=2048,
                             step=0.02):
     """Reference homodyne draws: one 2,048-draw block at a time, each
     drawing its x1 uniforms, x2 uniforms, x1 jitters and x2 jitters from
-    rng in turn.  Reads the grid tables and the rotation of the
-    QuadratureSampler passed in."""
+    rng in turn.  Takes only the state and the grid of the
+    QuadratureSampler passed in: the grid tables, the rotation of the
+    state by each draw's phases and the clipped cumulative sums are
+    rebuilt here."""
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
     n = theta1.size
-    grid, gb, gb_sum = sampler.grid, sampler._gb, sampler._gb_sum
+    grid, state = sampler.grid, sampler.state
+    d = state.n_c + 1
+    psi = hermite_function_table(state.n_c, grid)
+    # gb[g, n*d+n'] = psi_n(x_g) psi_n'(x_g)
+    gb = np.einsum("ng,mg->gnm", psi, psi).reshape(grid.size, d * d)
+    gb_sum = gb.sum(axis=0)
+    # rho[(n, m), (n', m')] stored as [n, n', m, m']
+    pairs = np.ascontiguousarray(
+        state.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3))
+
+    def rotated(th1, th2):
+        # the state conjugated by e^{i(n th1 + m th2)} per draw, shaped
+        # (draws, (n, n'), (m, m'))
+        ph = (np.exp(1j * np.outer(th1, np.arange(d)))[:, :, None]
+              * np.exp(1j * np.outer(th2, np.arange(d)))[:, None, :])
+        q = ph[:, :, None, :, None] * pairs
+        q = q * ph.conj()[:, None, :, None, :]
+        return q.reshape(-1, d * d, d * d)
+
     x1 = np.empty(n)
     x2 = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         m = hi - lo
-        q = sampler._rotated(theta1[lo:hi], theta2[lo:hi])
+        q = rotated(theta1[lo:hi], theta2[lo:hi])
         marg = np.real((q @ gb_sum) @ gb.T)
         np.clip(marg, 0.0, None, out=marg)
         cdf1 = np.cumsum(marg, axis=1)

@@ -18,8 +18,8 @@ from photonsub import harness as hx
 from photonsub.conformance import LoopbackSocketTransport, run_protocol_checks
 from photonsub.pso.centroid import centroid_bins
 import golden_bundles
-from oracles import (kraus_lossy_state, naive_coefficient, naive_norm_sq,
-                     pure_ladder_amplitudes)
+from oracles import (circuit_oracle, kraus_lossy_state, naive_coefficient,
+                     naive_norm_sq, pure_ladder_amplitudes)
 
 
 def verdict(num, label, ok, detail=""):
@@ -60,7 +60,7 @@ def test_criterion_1_closed_forms_vs_oracles():
                                 abs(fc.subtraction_coefficient(k, mdl)
                                     - naive_coefficient(k, n, m, r, R, R)))
                         st = fc.lossy_subtracted_state(mdl, n_c=6)
-                        orc = fc.circuit_oracle(mdl, n_c=6)
+                        orc = circuit_oracle(mdl, n_c=6)
                         worst_state = max(worst_state, float(
                             np.abs(st.matrix - orc.matrix).max()))
                         psi = pure_ladder_amplitudes(n, m, r, R, R, dw=34)

@@ -1,6 +1,6 @@
 import json
+import struct
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +30,27 @@ def test_witness_command(tmp_path, capsys):
     assert cli.main(["witness", "--state", str(p)]) == 0
     out = capsys.readouterr().out
     assert "rank0plus" in out
+
+
+def _bad_state_dump(case) -> bytes:
+    raw = fc.TwoModeState.vacuum(2).dump()
+    if case == "truncated":
+        return raw[:-8]
+    if case == "huge cutoff":
+        return raw[:5] + struct.pack("<I", 60000) + raw[9:]
+    return fc.TwoModeState(2, np.full((9, 9), np.nan)).dump()
+
+
+@pytest.mark.parametrize("case", ["truncated", "huge cutoff", "all NaN"])
+def test_bad_state_file_is_one_error_line(tmp_path, capsys, case):
+    p = tmp_path / "s.tms"
+    p.write_bytes(_bad_state_dump(case))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["witness", "--state", str(p)])
+    assert exit_info.value.code != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_contours_command(tmp_path, capsys):
@@ -78,13 +99,14 @@ def test_calibrate_command(small_cfg, capsys):
 @pytest.mark.slow
 def test_acquire_then_reconstruct(small_cfg, tmp_path, capsys):
     out_dir = tmp_path / "data"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        assert cli.main(["acquire", "--config", small_cfg,
-                         "--out", str(out_dir)]) == 0
-        with open(out_dir / "run_meta.txt") as fh:
-            meta = json.load(fh)
-        assert meta["class_counts"]["1,1"] >= 300
+    assert cli.main(["acquire", "--config", small_cfg,
+                     "--out", str(out_dir)]) == 0
+    with open(out_dir / "run_meta.txt") as fh:
+        meta = json.load(fh)
+    assert meta["class_counts"]["1,1"] >= 300
+    # 300 records at n_c = 6 and an 80-iteration cap
+    with pytest.warns(UserWarning, match="stopping bound"), \
+            pytest.warns(UserWarning, match="below D"):
         assert cli.main(["reconstruct", "--config", small_cfg,
                          "--datasets", str(out_dir), "--cls", "1,1",
                          "--out", str(tmp_path / "rec.tms")]) == 0

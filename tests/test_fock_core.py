@@ -1,4 +1,5 @@
 import io
+import struct
 import warnings
 from math import comb, cosh, sqrt, tanh
 
@@ -7,6 +8,8 @@ import pytest
 
 from photonsub import fock_core as fc
 from oracles import (
+    beamsplitter_unitary,
+    circuit_oracle,
     kraus_lossy_state,
     naive_coefficient,
     naive_norm_sq,
@@ -61,7 +64,7 @@ class TestCoefficient:
     def test_against_circuit_oracle_amplitudes(self):
         # the oracle's projected ladder carries (-1)^(n+m) sqrt(1-t^2) c_k
         m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, n_sub=1, m_sub=1)
-        st = fc.circuit_oracle(m, n_c=6)
+        st = circuit_oracle(m, n_c=6)
         psi = st.oracle_pure_amplitudes
         pref = (-1) ** 2 * sqrt(1 - tanh(0.3) ** 2)
         for k in range(1, 8):
@@ -154,7 +157,7 @@ class TestPureState:
     def test_matches_circuit_oracle(self):
         m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, n_sub=1, m_sub=1)
         st = fc.pure_subtracted_state(m, n_c=6)
-        orc = fc.circuit_oracle(m, n_c=6)
+        orc = circuit_oracle(m, n_c=6)
         np.testing.assert_allclose(st.matrix, orc.matrix, atol=1e-12)
 
     def test_requires_unit_transmissivity(self):
@@ -195,14 +198,14 @@ class TestLossyState:
 
     def test_against_circuit_oracle(self):
         st = fc.lossy_subtracted_state(NOMINAL, n_c=6)
-        orc = fc.circuit_oracle(NOMINAL, n_c=6)
+        orc = circuit_oracle(NOMINAL, n_c=6)
         np.testing.assert_allclose(st.matrix, orc.matrix, atol=1e-10)
 
 
 class TestCircuitOracle:
     def test_zero_reflectivity_is_identity(self):
         m = fc.SubtractionModel(r=0.3, R1=0.0, R2=0.0)
-        st = fc.circuit_oracle(m, n_c=6)
+        st = circuit_oracle(m, n_c=6)
         lam = tanh(0.3)
         pops = np.array([st.population(k, k) for k in range(7)])
         expect = (1 - lam ** 2) * lam ** (2 * np.arange(7))
@@ -214,7 +217,7 @@ class TestCircuitOracle:
         # <k-n, n|U|k, 0> = sign^n sqrt(C(k,n) (1-R)^(k-n) R^n)
         R = 0.14
         dim = 9
-        u = fc.beamsplitter_unitary(np.arcsin(sqrt(R)), dim, convention)
+        u = beamsplitter_unitary(np.arcsin(sqrt(R)), dim, convention)
         for k in range(dim):
             for n in range(k + 1):
                 amp = u[(k - n) * dim + n, k * dim + 0]
@@ -224,17 +227,17 @@ class TestCircuitOracle:
     @pytest.mark.parametrize("dim", [30, 33])
     def test_beamsplitter_orthogonal(self, dim):
         # real and orthogonal to rounding on every block, truncated ones too
-        u = fc.beamsplitter_unitary(np.pi / 4, dim)
+        u = beamsplitter_unitary(np.pi / 4, dim)
         assert np.abs(u @ u.T - np.eye(dim * dim)).max() <= 1e-13
 
     def test_success_probability_matches(self):
-        st = fc.circuit_oracle(NOMINAL, n_c=6)
+        st = circuit_oracle(NOMINAL, n_c=6)
         assert st.oracle_success_probability == pytest.approx(
             fc.success_probability(NOMINAL), rel=1e-10)
 
     def test_cutoff_guard(self):
         with pytest.raises(fc.CutoffTooSmallError):
-            fc.circuit_oracle(NOMINAL, n_c=2, n_c_work=3)
+            circuit_oracle(NOMINAL, n_c=2, n_c_work=3)
 
 
 @pytest.mark.slow
@@ -264,7 +267,7 @@ class TestCrossValidationGrid:
             mdl = fc.SubtractionModel(r=r, R1=R, R2=R, eta1=eta, eta2=eta,
                                       n_sub=n, m_sub=m)
             st = fc.lossy_subtracted_state(mdl, n_c=6)
-            orc = fc.circuit_oracle(mdl, n_c=6)
+            orc = circuit_oracle(mdl, n_c=6)
             np.testing.assert_allclose(st.matrix, orc.matrix, atol=1e-10)
             psi = pure_ladder_amplitudes(n, m, r, R, R, dw=34)
             ref = kraus_lossy_state(psi, eta, eta, n_c=6)
@@ -295,6 +298,20 @@ class TestStateContainer:
     def test_dump_rejects_garbage(self):
         with pytest.raises(ValueError):
             fc.TwoModeState.from_dump(b"not a dump at all")
+
+    @pytest.mark.parametrize("raw, match", [
+        (b"TMST\x01\x02\x00", "not a two-mode state dump"),
+        (fc.TwoModeState.vacuum(2).dump()[:-1], "a cutoff-2 dump has"),
+        (fc.TwoModeState.vacuum(2).dump() + b"\x00", "a cutoff-2 dump has"),
+        (b"TMST\x01" + struct.pack("<Id", 60000, 0.0), "above 20"),
+        (fc.TwoModeState(1, np.full((4, 4), np.inf)).dump(), "non-finite"),
+        (b"TMST\x01" + struct.pack("<Id", 0, np.nan) + bytes(16),
+         "non-finite"),
+    ], ids=["short header", "truncated", "trailing byte", "huge cutoff",
+            "inf entries", "nan weight"])
+    def test_dump_refuses_malformed(self, raw, match):
+        with pytest.raises(ValueError, match=match):
+            fc.TwoModeState.from_dump(raw)
 
     def test_meta_json(self):
         import json

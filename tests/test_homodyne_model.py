@@ -101,6 +101,24 @@ class TestJointProbability:
         v = fc.TwoModeState.vacuum(4)
         assert hm.joint_probability(v, 6.0, -6.0, 0.0, 0.0) >= 0.0
 
+    @pytest.mark.parametrize("n_c", [1, 2, 6])
+    def test_pair_coordinates_match_the_vector_density(self, n_c):
+        # alpha1^T K alpha2 at random states and points equals the complex
+        # <v1 v2| rho |v1 v2> of joint_probability
+        rng = np.random.default_rng(40 + n_c)
+        d = (n_c + 1) ** 2
+        pc = hm.PairCoordinates(n_c)
+        for _ in range(5):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = a @ a.conj().T
+            st = fc.TwoModeState(n_c, rho / np.trace(rho).real)
+            k = pc.density(st.matrix)
+            for x1, x2, th1, th2 in zip(*rng.normal(size=(2, 8)),
+                                        *rng.random((2, 8)) * 2 * pi):
+                p = pc.alpha(x1, th1) @ k @ pc.alpha(x2, th2)
+                assert p == pytest.approx(
+                    hm.joint_probability(st, x1, x2, th1, th2), rel=1e-12)
+
     def test_tmsv_squeezed_sum_quadrature(self):
         # under the phi=0 (-tanh r) convention the *sum* quadrature is
         # squeezed at theta1 = theta2 = 0: Var((x1+x2)/sqrt(2)) = e^{-2r}/2.
@@ -187,12 +205,11 @@ class TestSampler:
         assert abs(x1.var() - var_true) < 5 * se + 1e-3
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
-    @pytest.mark.parametrize("n", [3 * hm.DRAW_BLOCK + 77,
-                                   hm.COMPUTE_BLOCK - 17])
+    @pytest.mark.parametrize("n", [3 * hm.DRAW_BLOCK + 77, 47])
     def test_draws_equal_the_sequential_loop(self, monkeypatch, workers, n):
         # uniforms read up front and COMPUTE_BLOCK tasks on any number of
         # workers, switching threads often, give the draws of one
-        # DRAW_BLOCK block at a time
+        # DRAW_BLOCK block at a time; 47 draws fill part of one task
         monkeypatch.setattr(parallel, "workers", lambda: workers)
         m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, eta1=0.55,
                                 eta2=0.50, n_sub=1, m_sub=1)

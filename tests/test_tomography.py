@@ -1,4 +1,3 @@
-import warnings
 from math import pi
 
 import numpy as np
@@ -8,6 +7,7 @@ from photonsub import fock_core as fc
 from photonsub import ng_metrics as ng
 from photonsub import tomography as tg
 from photonsub.homodyne_model import QuadratureSampler
+from oracles import r_operator_from_vectors, rank_one_vectors
 
 
 def _dataset_from_state(state, n, seed, n_c=None):
@@ -19,11 +19,14 @@ def _dataset_from_state(state, n, seed, n_c=None):
                                 n_c=state.n_c if n_c is None else n_c)
 
 
+def _vectors(data):
+    return rank_one_vectors(data.x1, data.x2, data.theta1, data.theta2,
+                            data.n_c)
+
+
 @pytest.fixture(scope="module")
 def vacuum_data():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return _dataset_from_state(fc.TwoModeState.vacuum(2), 10_000, seed=1)
+    return _dataset_from_state(fc.TwoModeState.vacuum(2), 10_000, seed=1)
 
 
 class TestDataset:
@@ -46,26 +49,23 @@ class TestDataset:
         rng = np.random.default_rng(0)
         cols = [rng.random(50), rng.random(50),
                 rng.random(50) * 2 * pi, rng.random(50) * 2 * pi]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            a = tg.TomographyDataset(*cols, n_c=1)
-            perm = rng.permutation(50)
-            b = tg.TomographyDataset(*(c[perm] for c in cols), n_c=1)
+        a = tg.TomographyDataset(*cols, n_c=1)
+        perm = rng.permutation(50)
+        b = tg.TomographyDataset(*(c[perm] for c in cols), n_c=1)
         np.testing.assert_array_equal(a.x1, b.x1)
         np.testing.assert_array_equal(a.theta2, b.theta2)
 
 
 class TestROperator:
     def test_single_record_uniform_state(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
+        with pytest.warns(UserWarning, match="below D"):
             data = tg.TomographyDataset(np.array([0.4]), np.array([-0.2]),
                                         np.array([0.3]), np.array([1.0]), n_c=2)
         d = 9
         rho = fc.TwoModeState(2, np.eye(d, dtype=complex) / d)
         r, floored = tg.r_operator(rho, data)
         assert floored == 0
-        v = data.measurement_vectors()[0]
+        v = _vectors(data)[0]
         pi1 = np.outer(v, v.conj())
         expect = d * pi1 / np.trace(pi1).real
         np.testing.assert_allclose(r, expect, atol=1e-10)
@@ -81,9 +81,7 @@ class TestROperator:
         st = fc.TwoModeState.vacuum(2)
         dist = []
         for n in (1000, 10_000, 100_000):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                data = _dataset_from_state(st, n, seed=n)
+            data = _dataset_from_state(st, n, seed=n)
             r, _ = tg.r_operator(st, data)
             dist.append(np.linalg.norm(r / n - np.eye(9), ord=2))
         assert dist[2] < dist[1] < dist[0]
@@ -97,12 +95,31 @@ class TestROperator:
         x2 = rng.normal(0, 0.7, n)
         x1[:10] = 7.5
         x2[:10] = -7.5
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            data = tg.TomographyDataset(x1, x2, np.zeros(n), np.zeros(n), n_c=2)
+        data = tg.TomographyDataset(x1, x2, np.zeros(n), np.zeros(n), n_c=2)
         rho = fc.TwoModeState(2, np.eye(9, dtype=complex) / 9)
         with pytest.raises(tg.RegularizationError):
             tg.r_operator(rho, data)
+
+
+    @pytest.mark.parametrize("n_c", [1, 2, 6])
+    def test_matches_complex_vector_formula(self, n_c):
+        # random full-rank state; a few records far in the tails need the
+        # probability floor, and both paths floor the same ones
+        rng = np.random.default_rng(30 + n_c)
+        d = (n_c + 1) ** 2
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = a @ a.conj().T
+        rho = fc.TwoModeState(n_c, rho / np.trace(rho).real)
+        n = 3000
+        x1, x2 = rng.normal(0, 0.8, (2, n))
+        x1[:6] = 9.0
+        data = tg.TomographyDataset(x1, x2, rng.random(n) * 2 * pi,
+                                    rng.random(n) * 2 * pi, n_c=n_c)
+        r, floored = tg.r_operator(rho, data)
+        ref, _, ref_floored = r_operator_from_vectors(rho.matrix,
+                                                      _vectors(data))
+        assert floored == ref_floored > 0
+        assert np.abs(r - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestStep:
@@ -117,8 +134,7 @@ class TestStep:
         # one shared update: bit-identical, not merely close
         rho = fc.TwoModeState(2, np.eye(9, dtype=complex) / 9)
         nxt, _ = tg.rrhor_step(rho, vacuum_data)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
+        with pytest.warns(UserWarning, match="stopping bound"):
             rep = tg.reconstruct(vacuum_data, max_iterations=1)
         np.testing.assert_array_equal(nxt.matrix, rep.rho.matrix)
 
@@ -138,10 +154,8 @@ class TestStep:
         x1 = X1.ravel()
         x2 = X2.ravel()
         th = np.zeros_like(x1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            data = tg.TomographyDataset(x1, x2, th, th, n_c=n_c)
-        v = data.measurement_vectors()
+        data = tg.TomographyDataset(x1, x2, th, th, n_c=n_c)
+        v = _vectors(data)
         p = np.einsum("ij,ij->i", v.conj() @ rho.matrix, v).real
         # weighted R with frequencies = predictions: R = sum_i w_i Pi_i/p_i
         # = sum_i Pi_i * dx^2 ~ identity on the truncated space
@@ -154,7 +168,7 @@ class TestStep:
         # the update is not guaranteed monotone in general; assert it only
         # for this benign vacuum dataset over ten steps
         rho = fc.TwoModeState(2, np.eye(9, dtype=complex) / 9)
-        v = vacuum_data.measurement_vectors()
+        v = _vectors(vacuum_data)
         ll_first = None
         ll_last = None
         for _ in range(10):
@@ -173,9 +187,7 @@ class TestReconstruct:
         # (likelihood-preferred over the true vacuum); the derived oracle
         # value is F ~ 0.971, approaching 1 as N grows
         st = fc.TwoModeState.vacuum(6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            data = _dataset_from_state(st, 10_000, seed=3)
+        data = _dataset_from_state(st, 10_000, seed=3)
         rep = tg.reconstruct(data, max_iterations=600)
         f = ng.uhlmann_fidelity(rep.rho, st)
         assert f > 0.96
@@ -186,15 +198,12 @@ class TestReconstruct:
     def test_tmsv_self_consistency(self):
         m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, eta1=0.55, eta2=0.50)
         st = fc.lossy_subtracted_state(m, n_c=6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            data = _dataset_from_state(st, 10_000, seed=4)
+        data = _dataset_from_state(st, 10_000, seed=4)
         rep = tg.reconstruct(data, max_iterations=1200)
         assert ng.uhlmann_fidelity(rep.rho, st) > 0.97
 
     def test_empty_dataset_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
+        with pytest.warns(UserWarning, match="below D"):
             data = tg.TomographyDataset(np.zeros(0), np.zeros(0),
                                         np.zeros(0), np.zeros(0), n_c=1)
         with pytest.raises(ValueError):
@@ -213,9 +222,7 @@ class TestReconstruct:
         m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, eta1=0.55,
                                 eta2=0.50, n_sub=1, m_sub=1)
         st = fc.lossy_subtracted_state(m, n_c=6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            data = _dataset_from_state(st, 10_000, seed=11)
+        data = _dataset_from_state(st, 10_000, seed=11)
         n, eps = data.size, 1e-6
         rep = tg.reconstruct(data, epsilon=eps)
         assert rep.converged
@@ -244,11 +251,14 @@ class TestReconstruct:
         th2 = rng.random(n) * 2 * pi
         x1, x2 = QuadratureSampler(st).sample_batch(th1, th2, rng)
         perm = rng.permutation(n)
-        rep_a = tg.reconstruct(
-            tg.TomographyDataset(x1, x2, th1, th2, n_c=1), max_iterations=40)
-        rep_b = tg.reconstruct(
-            tg.TomographyDataset(x1[perm], x2[perm], th1[perm], th2[perm], n_c=1),
-            max_iterations=40)
+        with pytest.warns(UserWarning, match="stopping bound"):
+            rep_a = tg.reconstruct(
+                tg.TomographyDataset(x1, x2, th1, th2, n_c=1), max_iterations=40)
+        with pytest.warns(UserWarning, match="stopping bound"):
+            rep_b = tg.reconstruct(
+                tg.TomographyDataset(x1[perm], x2[perm], th1[perm], th2[perm],
+                                     n_c=1),
+                max_iterations=40)
         np.testing.assert_array_equal(rep_a.rho.matrix, rep_b.rho.matrix)
 
     def test_offladder_elements_small(self):
@@ -257,11 +267,8 @@ class TestReconstruct:
         m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, eta1=0.55, eta2=0.50)
         st = fc.lossy_subtracted_state(m, n_c=3)
         n = 20_000
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            data = _dataset_from_state(st, n, seed=5)
-            # near-converged suffices here; the bound warning is expected
-            rep = tg.reconstruct(data, max_iterations=800)
+        data = _dataset_from_state(st, n, seed=5)
+        rep = tg.reconstruct(data, max_iterations=800)
         d = 4
         bound = 5.0 / np.sqrt(n)
         for i1 in range(d):
@@ -280,9 +287,7 @@ class TestRollingVariance:
         th1 = rng.random(n) * 2 * pi
         th2 = rng.random(n) * 2 * pi
         x1, x2 = QuadratureSampler(state).sample_batch(th1, th2, rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            return tg.TomographyDataset(x1, x2, th1, th2, n_c=state.n_c)
+        return tg.TomographyDataset(x1, x2, th1, th2, n_c=state.n_c)
 
     def test_vacuum_flat_half(self):
         data = self._make(fc.TwoModeState.vacuum(2), 6000, seed=6)
