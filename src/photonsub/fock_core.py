@@ -222,8 +222,11 @@ class TwoModeState:
 
     @classmethod
     def load(cls, path) -> "TwoModeState":
+        # one byte past the largest valid dump: a longer file fails the
+        # length check without being read whole
         with open(path, "rb") as fh:
-            return cls.from_dump(fh.read())
+            return cls.from_dump(
+                fh.read(_DUMP_HEADER + 16 * (MAX_CUTOFF + 1) ** 4 + 1))
 
     def meta_json(self) -> str:
         return json.dumps({"n_c": self.n_c, "dim": self.dim,

@@ -176,6 +176,7 @@ class PairCoordinates:
              c * u[..., self.d:self.d + h] + s * u[..., self.d + h:]), axis=-1)
 
     def alpha(self, x, theta) -> np.ndarray:
+        """alpha at points x and phases theta of equal shapes."""
         return self.expand(self.products(x), self.phases(theta))
 
     def _reorder(self, mat):

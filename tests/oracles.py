@@ -9,6 +9,7 @@ types.
 
 import numpy as np
 from math import comb, sqrt, tanh
+from scipy.special import eval_hermite, factorial
 
 from photonsub.fock_core import (CutoffTooSmallError, TwoModeState,
                                  ZeroProbabilityError)
@@ -252,8 +253,6 @@ def dense_window_scan(subbins, sides, span_end):
 def hermite_function_table(n_c, x):
     """psi_0..psi_n_c at points x, shape (n_c + 1,) + x.shape, from
     scipy's physicists' Hermite polynomials."""
-    from scipy.special import eval_hermite, factorial
-
     x = np.asarray(x, dtype=float)
     n = np.arange(n_c + 1).reshape((-1,) + (1,) * x.ndim)
     return (eval_hermite(n, x) * np.exp(-0.5 * x * x)

@@ -38,10 +38,13 @@ def _bad_state_dump(case) -> bytes:
         return raw[:-8]
     if case == "huge cutoff":
         return raw[:5] + struct.pack("<I", 60000) + raw[9:]
+    if case == "oversized":
+        return raw + bytes(4 << 20)
     return fc.TwoModeState(2, np.full((9, 9), np.nan)).dump()
 
 
-@pytest.mark.parametrize("case", ["truncated", "huge cutoff", "all NaN"])
+@pytest.mark.parametrize("case", ["truncated", "huge cutoff", "all NaN",
+                                  "oversized"])
 def test_bad_state_file_is_one_error_line(tmp_path, capsys, case):
     p = tmp_path / "s.tms"
     p.write_bytes(_bad_state_dump(case))
