@@ -60,16 +60,40 @@ def cmd_acquire(args):
     return 0
 
 
+def _shot_noise_scale(path):
+    """run_meta.txt's shot_noise_scale: two positive finite numbers."""
+    with open(path) as fh:
+        meta = json.load(fh)
+    scale = meta.get("shot_noise_scale") if isinstance(meta, dict) else None
+    if not (isinstance(scale, list) and len(scale) == 2 and all(
+            type(s) in (int, float) and 0 < s < float("inf") for s in scale)):
+        raise ValueError("shot_noise_scale is not two positive finite numbers")
+    return scale
+
+
+def _pair(text):
+    """The text "n,m" as the integers (n, m)."""
+    n, m = text.split(",")
+    return int(n), int(m)
+
+
+def _limit_arg(limit):
+    if limit is not None and limit < 1:
+        raise ValueError("--limit must be at least 1")
+    return limit
+
+
 def cmd_reconstruct(args):
     cfg = _load_cfg(args.config)
-    with open(os.path.join(args.datasets, "run_meta.txt")) as fh:
-        meta = json.load(fh)
-    cls = tuple(int(x) for x in args.cls.split(","))
-    records = read_class(args.datasets, cls)[:args.limit]
+    cls = _read(_pair, args.cls)
+    limit = _read(_limit_arg, args.limit)
+    scales = _read(_shot_noise_scale,
+                   os.path.join(args.datasets, "run_meta.txt"))
+    records = _read(lambda d: read_class(d, cls), args.datasets)[:limit]
     if not records.size:
         print(f"no dataset files for class {cls}", file=sys.stderr)
         return 1
-    res = analyze_classes({cls: records}, meta["shot_noise_scale"], cfg,
+    res = analyze_classes({cls: records}, scales, cfg,
                           expected_states(cfg, [cls]))[cls]
     rep = res.report
     print(f"class {cls}: {res.data.size} records, {rep.iterations} "
@@ -84,10 +108,7 @@ def cmd_reconstruct(args):
 
 def cmd_scan_delays(args):
     cfg = _load_cfg(args.config)
-    offsets = []
-    for part in args.offsets.split(";"):
-        i, j = part.split(",")
-        offsets.append((int(i), int(j)))
+    offsets = [_read(_pair, part) for part in args.offsets.split(";")]
     rows = delay_scan(cfg, offsets, args.out, scan_targets=args.samples)
     for r in rows:
         print(f"D({r.offset[0]},{r.offset[1]}): "

@@ -62,18 +62,17 @@ def build_rig(config: ExperimentConfig) -> Rig:
 # ---------------------------------------------------------------------------
 
 def run_delay_calibration(rig: Rig, pulses_wanted: int = 10_000):
-    """Pulsed-thermal cross-correlation calibration, one side at a time.
+    """Pulsed-thermal cross-correlation calibration, the two sides as two
+    tasks, each on its own server, client and calibration stream.
 
     Returns ((delay_a, delay_b), (result_a, result_b)); delays are the
     effective query offsets including server start skew and the trigger
     pipeline offset.
     """
     cfg = rig.config
-    results = []
     span = min(pulses_wanted * THERMAL_PULSE_PERIOD + 200, rig.half - 100)
-    for side, (server, client, offset) in enumerate((
-            (rig.server_a, rig.client_a, cfg.server_offset_a),
-            (rig.server_b, rig.client_b, cfg.server_offset_b))):
+
+    def calibrate(side, server, client, offset):
         client.start_run(offset)
         subbins, sides = rig.generator.thermal_epoch(server, side, span)
         # zero-fill the rest of the half so it seals
@@ -89,9 +88,12 @@ def run_delay_calibration(rig: Rig, pulses_wanted: int = 10_000):
                           slope="RISING")
         crossings = client.threshold_scan(0, 0, span)
         client.set_config(mode="samples")
-        results.append(thermal_calibration(det_tags, crossings))
-    delays = (results[0].peak_delay, results[1].peak_delay)
-    return delays, tuple(results)
+        return thermal_calibration(det_tags, crossings)
+
+    results = tuple(task_map(lambda args: calibrate(*args), (
+        (0, rig.server_a, rig.client_a, cfg.server_offset_a),
+        (1, rig.server_b, rig.client_b, cfg.server_offset_b))))
+    return (results[0].peak_delay, results[1].peak_delay), results
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ chunk-order independent.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from ..fock_core import lossy_subtracted_state, success_probability
 from ..hds.server import HomodyneServer
 from ..hds.words import ADC_MAX, ADC_MIN
 from ..homodyne_model import PhaseDrive, QuadratureSampler
+from ..parallel import ahead
 from ..pso.pipeline import (SUBBINS_PER_COARSE, TREE_DETECTORS,
                             coincidence_pipeline)
 
@@ -52,11 +54,13 @@ _STREAM_CAL = 18
 
 
 def periodic(table, lo: int, hi: int) -> np.ndarray:
-    """table[t % len(table)] for t in [lo, hi), tiled from contiguous
+    """table[t % len(table)] for t in [lo, hi), copied from contiguous
     slices instead of gathered."""
-    start = lo % table.size
-    reps = -(-(start + hi - lo) // table.size)
-    return np.tile(table, reps)[start:start + hi - lo]
+    n, out = table.size, np.empty(hi - lo, table.dtype)
+    for t0 in range(lo - lo % n, hi, n):    # one slice per period touched
+        a, b = max(lo, t0), min(hi, t0 + n)
+        out[a - lo:b - lo] = table[a - t0:b - t0]
+    return out
 
 
 def _rng(seed, stream, counter=0) -> np.random.Generator:
@@ -220,8 +224,9 @@ class StreamGenerator:
         th1 = self.drive_a.evaluate(plan.coarse + cfg.true_delay_a)[0]
         th2 = self.drive_b.evaluate(plan.coarse + cfg.true_delay_b)[0]
         rng = _rng(cfg.seed, _STREAM_DRAWS, stream_key)
-        for cls in sorted({(int(n), int(m)) for n, m
-                           in zip(plan.cls_n, plan.cls_m)}):
+        # the classes present, in sorted order: they share one stream
+        for cls in [(n, m) for n in np.unique(plan.cls_n).tolist()
+                    for m in np.unique(plan.cls_m[plan.cls_n == n]).tolist()]:
             sel = ((plan.cls_n == cls[0]) & (plan.cls_m == cls[1])
                    & ~plan.dark)
             if not np.any(sel):
@@ -271,16 +276,26 @@ class StreamGenerator:
         tau + true_delay_b.  Chunk-keyed Philox streams make any sub-range
         reproducible.
         """
-        z1 = self._z_stream(_STREAM_Z1, tau_lo, tau_hi)
-        x_a = self._sig_a * z1
-        z2 = self._z_stream(_STREAM_Z2, tau_lo, tau_hi)
-        x_b = self._sig_b * (periodic(self._rho_c, tau_lo, tau_hi) * z1
-                             + periodic(self._rho_c_perp, tau_lo, tau_hi) * z2)
-        return x_a, x_b
+        return self._mix(tau_lo, self._z_stream(_STREAM_Z1, tau_lo, tau_hi),
+                         self._z_stream(_STREAM_Z2, tau_lo, tau_hi))
+
+    def _mix(self, tau_lo: int, z1, z2):
+        """(sig_a z1, sig_b (rho z1 + rho_perp z2)) from the two streams'
+        normals from mode time tau_lo on, in place where it can be: fresh
+        window-sized temporaries cost page faults on the ingesting thread."""
+        tau_hi = tau_lo + z1.size
+        x_b = periodic(self._rho_c, tau_lo, tau_hi)
+        x_b *= z1
+        t = periodic(self._rho_c_perp, tau_lo, tau_hi)
+        t *= z2
+        x_b += t
+        x_b *= self._sig_b
+        return self._sig_a * z1, x_b
 
     def to_codes(self, x) -> np.ndarray:
-        code = np.rint(np.asarray(x) * self.config.adc_scale).astype(np.int64)
-        return np.clip(code, ADC_MIN, ADC_MAX)
+        code = np.asarray(x) * self.config.adc_scale
+        code = np.rint(code, out=code).astype(np.int64)
+        return np.clip(code, ADC_MIN, ADC_MAX, out=code)
 
     # ------------------------------------------------------------------
     def fill_epoch(self, server_a, server_b, epoch: int, half: int,
@@ -295,39 +310,47 @@ class StreamGenerator:
         cfg = self.config
         lo = epoch * half
         hi = lo + half
-        # heralded overrides prepared once per epoch: per channel, the
-        # sorted sample positions of the non-dark heralds and their draws
+        # each channel carries its mode-time stream shifted by its own path
+        # delay, so samples pair up at equal mode time; one pair over the
+        # union of both mode-time windows serves both
+        d_lo, d_hi = sorted((cfg.true_delay_a, cfg.true_delay_b))
+        # heralded overrides prepared once per epoch; per channel: its
+        # offset into the pair, the sorted sample positions of the non-dark
+        # heralds and their draws, its drive and its server
         hx1 = hx2 = np.zeros(0)
         if plan.coarse.size:
             hx1, hx2 = self.heralded_draws(plan, stream_key=epoch)
         lit = ~plan.dark
-        overrides = [(plan.coarse[lit] + delay, x[lit]) for delay, x in
-                     ((cfg.true_delay_a, hx1), (cfg.true_delay_b, hx2))]
-        for w_lo in range(lo, hi, WINDOW):
-            w_hi = min(w_lo + WINDOW, hi)
-            # shutter-closed vacuum at the start of the run: one stream per
-            # chunk, keyed by the chunk start and drawn on window by window
-            if (w_lo - lo) % CHUNK == 0:
-                vacuum = [_rng(cfg.seed, key, w_lo)
-                          for key in (_STREAM_VACUUM_A, _STREAM_VACUUM_B)]
-            n_shut = min(w_hi, cfg.shutter_bins) - w_lo
-            # each channel carries its mode-time stream shifted by its own
-            # path delay, so samples pair up at equal mode time; one pair
-            # over the union of both mode-time windows serves both
-            tau_lo = w_lo - max(cfg.true_delay_a, cfg.true_delay_b)
-            tau_hi = w_hi - min(cfg.true_delay_a, cfg.true_delay_b)
-            xa, xb = self.background_pair(tau_lo, tau_hi)
-            xa = xa[w_lo - cfg.true_delay_a - tau_lo:][:w_hi - w_lo]
-            xb = xb[w_lo - cfg.true_delay_b - tau_lo:][:w_hi - w_lo]
-            for x, vac, (pos, vals), drive, server in zip(
-                    (xa, xb), vacuum, overrides, (self.drive_a, self.drive_b),
-                    (server_a, server_b)):
-                if n_shut > 0:
-                    x[:n_shut] = np.sqrt(0.5) * vac.standard_normal(n_shut)
-                i0, i1 = np.searchsorted(pos, (w_lo, w_hi))
-                x[pos[i0:i1] - w_lo] = vals[i0:i1]
-                server.ingest_samples(self.to_codes(x), periodic(
-                    drive.period_table[1], w_lo, w_hi))
+        channels = [
+            (d_hi - delay, plan.coarse[lit] + delay, x[lit], drive, server)
+            for delay, x, drive, server in (
+                (cfg.true_delay_a, hx1, self.drive_a, server_a),
+                (cfg.true_delay_b, hx2, self.drive_b, server_b))]
+        starts = range(lo, hi, WINDOW)
+
+        def normals(stream):
+            # a stream's windows, drawn a window ahead on one thread
+            return closing(ahead(lambda w: self._z_stream(
+                stream, w - d_hi, min(w + WINDOW, hi) - d_lo), starts))
+
+        with normals(_STREAM_Z1) as z1s, normals(_STREAM_Z2) as z2s:
+            for w_lo, z1, z2 in zip(starts, z1s, z2s):
+                w_hi = min(w_lo + WINDOW, hi)
+                # shutter-closed vacuum at the start of the run: one stream
+                # per chunk, keyed by the chunk start, drawn window by window
+                if (w_lo - lo) % CHUNK == 0:
+                    vacuum = [_rng(cfg.seed, key, w_lo)
+                              for key in (_STREAM_VACUUM_A, _STREAM_VACUUM_B)]
+                n_shut = min(w_hi, cfg.shutter_bins) - w_lo
+                for x, vac, (shift, pos, vals, drive, server) in zip(
+                        self._mix(w_lo - d_hi, z1, z2), vacuum, channels):
+                    x = x[shift:][:w_hi - w_lo]
+                    if n_shut > 0:
+                        x[:n_shut] = np.sqrt(0.5) * vac.standard_normal(n_shut)
+                    i0, i1 = np.searchsorted(pos, (w_lo, w_hi))
+                    x[pos[i0:i1] - w_lo] = vals[i0:i1]
+                    server.ingest_samples(self.to_codes(x), periodic(
+                        drive.period_table[1], w_lo, w_hi))
 
     # ------------------------------------------------------------------
     # thermal delay calibration streams

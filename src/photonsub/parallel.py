@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["openblas", "task_map", "workers"]
+__all__ = ["ahead", "openblas", "task_map", "workers"]
 
 
 def _typed(lib, symbol, restype, argtypes):
@@ -40,6 +40,15 @@ def workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _trim():
+    # glibc keeps each pool thread's freed heap for that thread, out of
+    # the caller's reach, and later peaks would stack on top of it
+    trim = _typed(ctypes.CDLL(None), "malloc_trim", ctypes.c_int,
+                  [ctypes.c_size_t])
+    if trim is not None:
+        trim(0)
+
+
 def task_map(fn, items) -> list:
     """[fn(item) for item in items], run on a pool of workers() threads
     with OpenBLAS at one thread for the duration; serial in the caller
@@ -62,9 +71,24 @@ def task_map(fn, items) -> list:
             return list(pool.map(fn, items))
     finally:
         put(before)
-        # glibc keeps each pool thread's freed heap for that thread, out of
-        # the caller's reach, and later peaks would stack on top of it
-        trim = _typed(ctypes.CDLL(None), "malloc_trim", ctypes.c_int,
-                      [ctypes.c_size_t])
-        if trim is not None:
-            trim(0)
+        _trim()
+
+
+def ahead(fn, items):
+    """Yield fn(item) for each item in order; every call runs on one extra
+    thread, one item ahead of the caller, or serially on one CPU.  Closing
+    the generator, also when the caller raises or stops early, joins it."""
+    if workers() < 2:
+        yield from map(fn, items)
+        return
+    pool, last = ThreadPoolExecutor(1), None
+    try:
+        for item in items:
+            last, done = pool.submit(fn, item), last
+            if done is not None:
+                yield done.result()
+        if last is not None:
+            yield last.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _trim()

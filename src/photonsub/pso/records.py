@@ -45,7 +45,11 @@ def write_records(path, records: np.ndarray):
 
 def read_records(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        return np.frombuffer(fh.read(), dtype=RECORD_DTYPE).copy()
+        raw = fh.read()
+    if len(raw) % RECORD_DTYPE.itemsize:
+        raise ValueError(f"{path}: {len(raw)} bytes is not a whole number "
+                         f"of {RECORD_DTYPE.itemsize}-byte records")
+    return np.frombuffer(raw, dtype=RECORD_DTYPE).copy()
 
 
 def _part_name(cls, idx: int) -> str:

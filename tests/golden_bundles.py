@@ -11,7 +11,8 @@ Regenerate (a few minutes), after a change that moves outputs on purpose:
 
     PYTHONPATH=src python tests/golden_bundles.py
 
-List the files that moved per seed, writing nothing:
+List the files that moved per seed, writing nothing; the exit status is
+1 when any seed has a moved file:
 
     PYTHONPATH=src python tests/golden_bundles.py --diff
 """
@@ -104,15 +105,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--diff", action="store_true",
                         help="print the moved paths per seed against the "
-                             "stored listing instead of rewriting it")
+                             "stored listing instead of rewriting it; exit 1 "
+                             "if any moved")
     args = parser.parse_args(argv)
     fresh = bundles()
     if args.diff:
         stored = load()["bundles"]
-        for seed, lines in fresh.items():
-            moved = moved_files(stored.get(seed, []), lines)
-            print(f"seed {seed}: {' '.join(moved) if moved else 'unchanged'}")
-        return 0
+        moved = {seed: moved_files(stored.get(seed, []), lines)
+                 for seed, lines in fresh.items()}
+        for seed, files in moved.items():
+            print(f"seed {seed}: {' '.join(files) if files else 'unchanged'}")
+        return int(any(moved.values()))
     GOLDEN.write_text(json.dumps(
         {"fingerprint": fingerprint(), "bundles": fresh}, indent=1) + "\n")
     print(f"wrote {GOLDEN}: "

@@ -6,7 +6,6 @@ minutes.
 """
 
 import time
-import warnings
 from math import sqrt
 
 import numpy as np
@@ -147,17 +146,17 @@ def test_criterion_3_entanglement_closed_forms():
 def ten_runs(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_runs")
     results = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        for seed in range(10):
-            # herald rate raised above the 1000x default so ten runs fit
-            # the suite budget; the drawn statistics are rate-independent
-            cfg = hx.ExperimentConfig(seed=300 + seed, herald_rate_hz=4e5)
-            rep = hx.run_experiment(cfg, out / f"run_{seed}")
-            results.append(rep)
-            print(f"  run {seed}: F11={rep.fidelities['rec11_vs_exp11']:.4f} "
-                  f"E_N rec11={rep.log_negativities['rec11']:.3f} "
-                  f"rec00={rep.log_negativities['rec00']:.3f}")
+    # the ten runs raise no warning: none is filtered, so any that appears
+    # shows in the test summary
+    for seed in range(10):
+        # herald rate raised above the 1000x default so ten runs fit
+        # the suite budget; the drawn statistics are rate-independent
+        cfg = hx.ExperimentConfig(seed=300 + seed, herald_rate_hz=4e5)
+        rep = hx.run_experiment(cfg, out / f"run_{seed}")
+        results.append(rep)
+        print(f"  run {seed}: F11={rep.fidelities['rec11_vs_exp11']:.4f} "
+              f"E_N rec11={rep.log_negativities['rec11']:.3f} "
+              f"rec00={rep.log_negativities['rec00']:.3f}")
     return results
 
 

@@ -8,6 +8,7 @@ import pytest
 from photonsub import cli
 from photonsub import fock_core as fc
 from photonsub.harness import ExperimentConfig, save_config
+from photonsub.pso import RECORD_DTYPE, write_records
 
 
 @pytest.fixture()
@@ -118,3 +119,70 @@ def test_acquire_then_reconstruct(small_cfg, tmp_path, capsys):
     assert (tmp_path / "rec.tms").exists()
     back = fc.TwoModeState.load(tmp_path / "rec.tms")
     back.validate()
+
+
+GOOD_META = '{"shot_noise_scale": [1000.0, 1000.0]}'
+
+
+def _dataset(tmp_path, meta=GOOD_META, records=50):
+    """A run directory with `records` class-(1, 1) records."""
+    run = tmp_path / "data"
+    run.mkdir()
+    rec = np.zeros(records, dtype=RECORD_DTYPE)
+    rec["adc"] = np.random.default_rng(0).integers(-2000, 2000, (records, 4))
+    write_records(run / "sig_1_1.part000.bin", rec)
+    (run / "run_meta.txt").write_text(meta)
+    return run
+
+
+def _reconstruct_error(small_cfg, run, capsys, *extra) -> str:
+    """reconstruct's stderr, which must be one error line with exit 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["reconstruct", "--config", small_cfg, "--datasets",
+                  str(run), *extra])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_reconstruct_refuses_a_partial_record(small_cfg, tmp_path, capsys):
+    run = _dataset(tmp_path)
+    with open(run / "sig_1_1.part000.bin", "ab") as fh:
+        fh.write(bytes(13))
+    err = _reconstruct_error(small_cfg, run, capsys)
+    assert "sig_1_1.part000.bin" in err and str(50 * 24 + 13) in err
+
+
+@pytest.mark.parametrize("meta", [
+    '{"shot_noise_scale": [1000.0, 1000.0]', "{}", "[1000.0, 1000.0]",
+    '{"shot_noise_scale": [1000.0]}', '{"shot_noise_scale": [1000.0, -1.0]}',
+    '{"shot_noise_scale": [1000.0, NaN]}',
+    '{"shot_noise_scale": [1000.0, Infinity]}',
+    '{"shot_noise_scale": [1000.0, "1000"]}',
+    '{"shot_noise_scale": [true, 1000.0]}'])
+def test_reconstruct_refuses_bad_run_meta(small_cfg, tmp_path, capsys, meta):
+    err = _reconstruct_error(small_cfg, _dataset(tmp_path, meta), capsys)
+    assert "run_meta.txt" in err
+
+
+@pytest.mark.parametrize("cls", ["1", "1,x", "1,1,1", "1.5,1"])
+def test_reconstruct_refuses_a_bad_class(small_cfg, tmp_path, capsys, cls):
+    _reconstruct_error(small_cfg, _dataset(tmp_path), capsys, "--cls", cls)
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_reconstruct_refuses_a_limit_below_one(small_cfg, tmp_path, capsys,
+                                               limit):
+    err = _reconstruct_error(small_cfg, _dataset(tmp_path), capsys,
+                             "--limit", limit)
+    assert "--limit" in err
+
+
+def test_reconstruct_reads_limit_records(small_cfg, tmp_path, capsys):
+    with pytest.warns(UserWarning, match="stopping bound"), \
+            pytest.warns(UserWarning, match="below D"):
+        assert cli.main(["reconstruct", "--config", small_cfg, "--datasets",
+                         str(_dataset(tmp_path)), "--limit", "20"]) == 0
+    assert "class (1, 1): 20 records" in capsys.readouterr().out

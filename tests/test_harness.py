@@ -1,6 +1,6 @@
+import ctypes
 import dataclasses
 import json
-import warnings
 from math import pi
 from pathlib import Path
 
@@ -13,13 +13,15 @@ from scipy.stats import chi2
 from photonsub import fock_core as fc
 from photonsub import ng_metrics as ng
 from photonsub import harness as hx
+from photonsub import parallel
 from photonsub.harness.calibration import MAX_LAG
 from photonsub.harness.generator import (CHUNK, PIPELINE_COARSE_OFFSET,
                                          StreamGenerator, _rng, periodic)
 from photonsub.hds import DEFAULT_PAGES
 from photonsub.homodyne_model import quadrature_operator
 from photonsub.pso import coincidence_pipeline
-from test_parallel import leftovers
+import golden_bundles
+from test_parallel import blas_threads, leftovers
 
 
 # herald rate kept moderate: the accidental-coincidence rate grows
@@ -317,8 +319,8 @@ class TestExperimentSmall:
     def run(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("exp")
         before = leftovers()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
+        with pytest.warns(UserWarning, match="stopping bound"), \
+                pytest.warns(UserWarning, match="below D"):
             report = hx.run_experiment(SMALL, out)
         return report, before, leftovers()
 
@@ -391,8 +393,8 @@ class TestDelayScan:
     def test_true_delay_wins(self, tmp_path):
         cfg = SMALL.with_overrides(class_targets={(1, 1): 800, (0, 0): 800},
                                    zero_detection_rate=2 ** 12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
+        with pytest.warns(UserWarning, match="stopping bound"), \
+                pytest.warns(UserWarning, match="below D"):
             rows = hx.delay_scan(cfg, [(0, 0), (3, 3), (-3, -3)], tmp_path,
                                  scan_targets=800, max_iterations=250)
         by_offset = {r.offset: r for r in rows}
@@ -428,8 +430,8 @@ class TestFullDeterminism:
         # identical config + seeds: datasets and reports byte-identical
         cfg = SMALL.with_overrides(class_targets={(1, 1): 300, (0, 0): 300},
                                    shot_noise_samples=2000)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
+        with pytest.warns(UserWarning, match="stopping bound"), \
+                pytest.warns(UserWarning, match="below D"):
             r1 = hx.run_experiment(cfg, tmp_path / "a")
             r2 = hx.run_experiment(cfg, tmp_path / "b")
         assert r1.fidelities == r2.fidelities
@@ -442,3 +444,28 @@ class TestFullDeterminism:
         h1 = (tmp_path / "a/heralds.bin").read_bytes()
         h2 = (tmp_path / "b/heralds.bin").read_bytes()
         assert h1 == h2 and len(h1) > 0
+
+    def test_bundle_independent_of_the_worker_count(self, tmp_path,
+                                                    monkeypatch):
+        # serial and threaded task_map and ahead write the same files; BLAS
+        # runs on one thread in both, as inside task_map's tasks, since its
+        # thread count may move the reconstructions' last bits
+        cfg = SMALL.with_overrides(class_targets={(1, 1): 300, (0, 0): 300},
+                                   shot_noise_samples=2000)
+        put = parallel.openblas("scipy_openblas_set_num_threads64_", None,
+                                [ctypes.c_int])
+        before = blas_threads and blas_threads()
+        listings = []
+        try:
+            if put is not None:
+                put(1)
+            for n in (1, 2):
+                monkeypatch.setattr(parallel, "workers", lambda n=n: n)
+                with pytest.warns(UserWarning, match="stopping bound"), \
+                        pytest.warns(UserWarning, match="below D"):
+                    hx.run_experiment(cfg, tmp_path / str(n))
+                listings.append(golden_bundles.listing(tmp_path / str(n)))
+        finally:
+            if put is not None:
+                put(before)
+        assert listings[0] == listings[1]

@@ -63,3 +63,53 @@ def test_previous_blas_count_restored():
         assert blas_threads() == 1
     finally:
         put(before)
+
+
+def test_ahead_yields_in_item_order(workers):
+    assert list(parallel.ahead(lambda x: x * x, range(10))) == \
+        [x * x for x in range(10)]
+    assert list(parallel.ahead(len, [])) == []
+
+
+def test_ahead_runs_every_call_on_one_thread(workers):
+    threads = set(parallel.ahead(lambda _: threading.get_ident(), range(6)))
+    assert len(threads) == 1
+    assert (threading.get_ident() in threads) == (workers == 1)
+
+
+def test_ahead_stays_one_item_ahead(workers):
+    # the caller may reuse storage of item i once it asks for item i + 1
+    started = []
+    for i, _ in enumerate(parallel.ahead(started.append, range(8))):
+        assert len(started) <= i + 2
+
+
+def test_ahead_passes_on_an_exception_from_fn(workers):
+    def fn(x):
+        if x == 3:
+            raise KeyError(x)
+        return x
+
+    before, got = leftovers(), []
+    with pytest.raises(KeyError):
+        for x in parallel.ahead(fn, range(8)):
+            got.append(x)
+    assert got == [0, 1, 2]
+    assert leftovers() == before
+
+
+def test_ahead_no_leftovers_after_the_consumer_raises(workers):
+    before = leftovers()
+    with pytest.raises(KeyError):
+        for x in parallel.ahead(abs, range(8)):
+            if x == 3:
+                raise KeyError(x)
+    assert leftovers() == before
+
+
+def test_ahead_no_leftovers_after_the_consumer_stops_early(workers):
+    before = leftovers()
+    for x in parallel.ahead(abs, range(8)):
+        if x == 3:
+            break
+    assert leftovers() == before
