@@ -18,6 +18,7 @@ from .harness import (ExperimentConfig, analyze_classes, build_rig,
                       delay_scan, expected_states, load_config,
                       run_acquisition, run_delay_calibration, run_experiment,
                       throughput_benchmark)
+from .harness.config import read_json
 from .pso import read_class
 
 
@@ -62,8 +63,7 @@ def cmd_acquire(args):
 
 def _shot_noise_scale(path):
     """run_meta.txt's shot_noise_scale: two positive finite numbers."""
-    with open(path) as fh:
-        meta = json.load(fh)
+    meta = read_json(path)
     scale = meta.get("shot_noise_scale") if isinstance(meta, dict) else None
     if not (isinstance(scale, list) and len(scale) == 2 and all(
             type(s) in (int, float) and 0 < s < float("inf") for s in scale)):

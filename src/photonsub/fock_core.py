@@ -201,7 +201,8 @@ class TwoModeState:
     @classmethod
     def from_dump(cls, raw: bytes) -> "TwoModeState":
         """Inverse of dump; ValueError for a wrong magic or length, a
-        cutoff above MAX_CUTOFF or a non-finite entry."""
+        cutoff above MAX_CUTOFF, a non-finite or oversized entry or a
+        matrix that fails validate()."""
         if raw[:5] != _DUMP_MAGIC or len(raw) < _DUMP_HEADER:
             raise ValueError("not a two-mode state dump")
         n_c, w = struct.unpack_from("<Id", raw, 5)
@@ -212,9 +213,10 @@ class TwoModeState:
             raise ValueError(f"{len(raw)} bytes; a cutoff-{n_c} dump has "
                              f"{_DUMP_HEADER + 16 * d * d}")
         mat = np.frombuffer(raw, dtype="<c16", offset=_DUMP_HEADER)
-        if not (np.isfinite(w) and np.isfinite(mat).all()):
-            raise ValueError("non-finite entries")
-        return cls(n_c, mat.reshape(d, d).astype(complex), w)
+        # state entries are at most 1; 2 keeps validate()'s arithmetic finite
+        if not (np.isfinite(w) and (np.abs(mat) <= 2).all()):
+            raise ValueError("non-finite or oversized entries")
+        return cls(n_c, mat.reshape(d, d).astype(complex), w).validate()
 
     def save(self, path):
         with open(path, "wb") as fh:

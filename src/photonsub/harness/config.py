@@ -155,17 +155,23 @@ def save_config(config: ExperimentConfig, path):
         json.dump(d, fh, indent=2, sort_keys=True)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON config file; ValueError naming the key on any bad entry."""
+def read_json(path):
+    """The JSON value of a settings file (a config or a run_meta.txt);
+    ValueError for a file of over MAX_CONFIG_BYTES or invalid JSON."""
     with open(path, "rb") as fh:
         raw = fh.read(MAX_CONFIG_BYTES + 1)
     if len(raw) > MAX_CONFIG_BYTES:
-        raise ValueError(f"a config file holds at most {MAX_CONFIG_BYTES} "
+        raise ValueError(f"a settings file holds at most {MAX_CONFIG_BYTES} "
                          f"bytes")
     try:
-        d = json.loads(raw)
+        return json.loads(raw)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read a JSON config file; ValueError naming the key on any bad entry."""
+    d = read_json(path)
     if not isinstance(d, dict):
         raise ValueError("a config file holds one JSON object")
     unknown = sorted(d.keys() - {f.name for f in fields(ExperimentConfig)})

@@ -48,6 +48,31 @@ def centroid_bins(numerators, totals) -> np.ndarray:
     return (num[:, None] >= ks[None, :] * tot[:, None]).sum(axis=1)
 
 
+def in_trigger_bins(numerators, totals) -> np.ndarray:
+    """Whether each centroid is a trigger bin, by the two ladder rungs
+    around TRIGGER_BINS; totals must be positive."""
+    return ((TRIGGER_BINS[0] * totals <= numerators)
+            & (numerators < (TRIGGER_BINS[-1] + 1) * totals))
+
+
+def pack_windows(starts, index, a_counts, b_counts) -> np.ndarray:
+    """Signature words of windows listed by their occupied sub-bins.
+
+    Window k owns the flat entries from starts[k] up to the next start
+    (the last one up to the end), at least one, each sub-bin at most
+    once: index is the sub-bin (0..8) and a_counts, b_counts the side
+    counts there.  3-bit fields clip at 7, side sums at 31.
+    """
+    shifts = (SUBBIN_FIELD_BITS * np.asarray(index)).astype(np.uint64)
+    words = []
+    for counts in (a_counts, b_counts):
+        c = np.asarray(counts, dtype=np.uint64)
+        fields = np.bitwise_or.reduceat(np.minimum(c, 7) << shifts, starts)
+        total = np.minimum(np.add.reduceat(c, starts), SUM_MASK)
+        words.append(fields | (total << np.uint64(SUM_SHIFT)))
+    return words[0] | (words[1] << np.uint64(32))
+
+
 def pack_signature(a_counts, b_counts) -> np.ndarray:
     """Pack per-side 9-bin count vectors into 64-bit signature words.
 
@@ -57,31 +82,20 @@ def pack_signature(a_counts, b_counts) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b_counts, dtype=np.uint64))
     if a.shape[1] != 9 or b.shape[1] != 9:
         raise ValueError("need 9 sub-bin counts per side")
-    sum_a = np.minimum(a.sum(axis=1), SUM_MASK)
-    sum_b = np.minimum(b.sum(axis=1), SUM_MASK)
-    a = np.minimum(a, 7)
-    b = np.minimum(b, 7)
-    lo = (a << _SHIFTS[None, :]).sum(axis=1, dtype=np.uint64) \
-        | (sum_a << np.uint64(SUM_SHIFT))
-    hi = (b << _SHIFTS[None, :]).sum(axis=1, dtype=np.uint64) \
-        | (sum_b << np.uint64(SUM_SHIFT))
-    word = lo | (hi << np.uint64(32))
-    return word if word.size > 1 else word.reshape(word.size)
+    return pack_windows(np.arange(0, a.size, 9), np.tile(np.arange(9), len(a)),
+                        a.ravel(), b.ravel())
 
 
 def unpack_signature(words):
     """(a_counts, b_counts, sum_a, sum_b) from signature words."""
     w = np.atleast_1d(np.asarray(words, dtype=np.uint64))
-    lo = w & np.uint64(0xFFFFFFFF)
-    hi = w >> np.uint64(32)
-    a = ((lo[:, None] >> _SHIFTS[None, :]) & np.uint64(7)).astype(np.int64)
-    b = ((hi[:, None] >> _SHIFTS[None, :]) & np.uint64(7)).astype(np.int64)
-    sum_a = ((lo >> np.uint64(SUM_SHIFT)) & np.uint64(SUM_MASK)).astype(np.int64)
-    sum_b = ((hi >> np.uint64(SUM_SHIFT)) & np.uint64(SUM_MASK)).astype(np.int64)
-    return a, b, sum_a, sum_b
+    a, b = (((w[:, None] >> (_SHIFTS + np.uint64(offset)))
+             & np.uint64(7)).astype(np.int64) for offset in (0, 32))
+    return (a, b, *signature_class(w))
 
 
 def signature_class(words):
-    """(n, m) side-sum pair per signature word."""
-    _, _, sa, sb = unpack_signature(words)
-    return sa, sb
+    """(n, m) side-sum pair per signature word, from its sum fields."""
+    w = np.atleast_1d(np.asarray(words, dtype=np.uint64))
+    return tuple(((w >> np.uint64(offset + SUM_SHIFT)) & np.uint64(SUM_MASK))
+                 .astype(np.int64) for offset in (0, 32))

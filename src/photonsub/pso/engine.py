@@ -20,7 +20,7 @@ import numpy as np
 from ..hds import protocol as hds_protocol
 from ..hds.buffer import DEFAULT_PAGES, PAGE_WORDS
 from ..hds.words import is_placeholder, unpack_words
-from .centroid import signature_class
+from .centroid import SUM_MASK, signature_class
 from .pipeline import (EVENT_DTYPE, TREE_DETECTORS, coincidence_gate,
                        coincidence_pipeline, hold_time_filter,
                        seed_rejection_filter, zero_detection_tags)
@@ -323,10 +323,12 @@ class PsoEngine:
                              (coarse % self.capacity).astype(np.uint32),
                              a_pair, b_pair)
         sa, sb = signature_class(sig)
-        for cls in sorted({(int(x), int(y)) for x, y in zip(sa, sb)}):
+        key = sa * (SUM_MASK + 1) + sb        # ascending in (n, m) order
+        for k in np.unique(key):
+            cls = divmod(int(k), SUM_MASK + 1)
             if max(cls) > TREE_DETECTORS:
                 continue
-            added = self.writer.add(cls, recs[(sa == cls[0]) & (sb == cls[1])])
+            added = self.writer.add(cls, recs.compress(key == k))
             self.report.class_counts[cls] = self.report.class_counts.get(
                 cls, 0) + added
         # kept counts detection events that survived to a response word,

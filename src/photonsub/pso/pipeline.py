@@ -7,9 +7,10 @@ bins {4, 5, 6} the event is recorded with the full signature at that
 alignment and the contributing pulses are consumed.  The herald output
 fires a fixed pipeline depth after the trigger alignment.
 
-Pulses separated by more than the window length can never interact, so the
-scan runs per pulse cluster; single-position clusters (the overwhelmingly
-common case) take a closed-form vectorized path.
+Pulses separated by more than the window length can never interact, so
+every pulse cluster is scanned independently, all of them in lockstep:
+each step tests one alignment per live cluster, reading its window sums
+as differences of prefix sums over the occupied sub-bins.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import warnings
 
 import numpy as np
 
-from .centroid import TRIGGER_BINS, centroid_bins, pack_signature
+from .centroid import (TRIGGER_BINS, WINDOW_SUBBINS, in_trigger_bins,
+                       pack_windows)
 
 PIPELINE_DEPTH_SUBBINS = 27
 SUBBINS_PER_COARSE = 3        # 300-MHz sub-bins per 100-MHz coarse bin
@@ -32,21 +34,6 @@ ZERO_DETECTION_RATE_CAP = 2 ** 17
 EVENT_DTYPE = np.dtype([("alignment", "<i8"), ("coarse", "<i8"),
                         ("signature", "<u8"), ("emit_subbin", "<i8"),
                         ("sum_a", "<i8"), ("sum_b", "<i8")])
-
-
-def _events(s, signature, sum_a, sum_b) -> np.ndarray:
-    """EVENT_DTYPE records of the windows starting at sub-bins s."""
-    s = np.asarray(s, dtype=np.int64)
-    ev = np.empty(s.size, dtype=EVENT_DTYPE)
-    ev["alignment"] = s
-    # the trigger flag crosses into the 100-MHz domain at a fixed offset
-    # from the window start; calibration absorbs the absolute value
-    ev["coarse"] = (s + 4) // SUBBINS_PER_COARSE
-    ev["signature"] = signature
-    ev["emit_subbin"] = s + PIPELINE_DEPTH_SUBBINS
-    ev["sum_a"] = sum_a
-    ev["sum_b"] = sum_b
-    return ev
 
 
 def coincidence_pipeline(subbins, sides) -> np.ndarray:
@@ -63,63 +50,52 @@ def coincidence_pipeline(subbins, sides) -> np.ndarray:
         raise ValueError("subbins and sides must have equal shapes")
     if subbins.size == 0:
         return np.zeros(0, dtype=EVENT_DTYPE)
-    # counts per occupied sub-bin and side; clusters split where gaps
-    # exceed the window
-    pos_sorted, idx = np.unique(subbins, return_inverse=True)
-    ca = np.bincount(idx[sides == 0], minlength=pos_sorted.size)
-    cb = np.bincount(idx[sides == 1], minlength=pos_sorted.size)
-    gap_break = np.nonzero(np.diff(pos_sorted) > 8)[0]
-    cluster_starts = np.concatenate(([0], gap_break + 1))
-    cluster_ends = np.concatenate((gap_break + 1, [pos_sorted.size]))
-
-    single = cluster_ends - cluster_starts == 1
-    one = cluster_starts[single]
-    rows = []
-    for st, en in zip(cluster_starts[~single], cluster_ends[~single]):
-        rows += _scan_cluster(pos_sorted[st:en], ca[st:en], cb[st:en])
-    out = np.concatenate(
-        [_single_position_events(pos_sorted[one], ca[one], cb[one]),
-         _events(*zip(*rows)) if rows else np.zeros(0, dtype=EVENT_DTYPE)],
-        dtype=EVENT_DTYPE)
-    return out.take(np.argsort(out["alignment"], kind="stable"))
-
-
-def _single_position_events(pos, ca, cb) -> np.ndarray:
-    """All counts at one sub-bin: the centroid equals the position index,
-    which first enters the trigger set at window index 6."""
-    a9 = np.zeros((pos.size, 9), dtype=np.int64)
-    b9 = np.zeros((pos.size, 9), dtype=np.int64)
-    a9[:, 6] = ca
-    b9[:, 6] = cb
-    return _events(pos - 6, pack_signature(a9, b9), ca, cb)
-
-
-def _scan_cluster(pos, ca, cb) -> list:
-    """Alignment-by-alignment scan of one pulse cluster with consumption;
-    one (alignment, signature, sum_a, sum_b) row per triggered window."""
-    lo = int(pos[0]) - 8
-    hi = int(pos[-1])
-    width = hi - lo + 9
-    a = np.zeros(width, dtype=np.int64)
-    b = np.zeros(width, dtype=np.int64)
-    a[pos - lo] = ca
-    b[pos - lo] = cb
-    idx = np.arange(9)
-    rows = []
-    for s in range(0, width - 8):
-        wa = a[s:s + 9]
-        wb = b[s:s + 9]
-        tot = int(wa.sum() + wb.sum())
-        if tot == 0:
-            continue
-        num = int(np.dot(idx, wa) + np.dot(idx, wb))
-        cen = int(centroid_bins([num], [tot])[0])
-        if cen in TRIGGER_BINS:
-            rows.append((lo + s, int(pack_signature(wa, wb)[0]),
-                         int(wa.sum()), int(wb.sum())))
-            a[s:s + 9] = 0
-            b[s:s + 9] = 0
-    return rows
+    pos, idx = np.unique(subbins, return_inverse=True)
+    ca = np.bincount(idx[sides == 0], minlength=pos.size)
+    cb = np.bincount(idx[sides == 1], minlength=pos.size)
+    # counts of the occupied sub-bins [i, j) are pa[j] - pa[i], and so
+    # on; the position-weighted sums may wrap around in int64, which
+    # cancels in a window's small centroid numerator
+    pa, pb, px = (np.concatenate(([0], np.cumsum(c)))
+                  for c in (ca, cb, (ca + cb) * pos))
+    # per live cluster: the window start s, the first unconsumed occupied
+    # sub-bin i at or after it, and the cluster's end; the scan starts at
+    # the first window that reaches the cluster
+    end = np.append(np.nonzero(np.diff(pos) >= WINDOW_SUBBINS)[0] + 1,
+                    pos.size)
+    i = np.insert(end[:-1], 0, 0)
+    s = pos[i] - (WINDOW_SUBBINS - 1)
+    hits = []
+    while i.size:
+        # windows with every count past the last trigger bin cannot trigger
+        s = np.maximum(s, pos[i] - TRIGGER_BINS[-1])
+        j = np.searchsorted(pos, s + WINDOW_SUBBINS)
+        tot = pa[j] - pa[i] + pb[j] - pb[i]
+        hit = in_trigger_bins(px[j] - px[i] - s * tot, tot)
+        hits.append((s[hit], i[hit], j[hit]))
+        # a trigger consumes the window; otherwise the window start moves
+        # past the sub-bin at s
+        i = np.where(hit, j, i + (pos[i] == s))
+        live = i < end
+        s, i, end = s[live] + 1, i[live], end[live]
+    s, i, j = (np.concatenate(x) for x in zip(*hits))
+    order = np.argsort(s, kind="stable")
+    s, i, j = s[order], i[order], j[order]
+    ev = np.empty(s.size, dtype=EVENT_DTYPE)
+    ev["alignment"] = s
+    # the trigger flag crosses into the 100-MHz domain at a fixed offset
+    # from the window start; calibration absorbs the absolute value
+    ev["coarse"] = (s + 4) // SUBBINS_PER_COARSE
+    # packed from the occupied sub-bins of every triggered window, flattened
+    n = j - i
+    starts = np.cumsum(n) - n
+    at = np.repeat(i - starts, n) + np.arange(n.sum())
+    ev["signature"] = pack_windows(starts, pos[at] - np.repeat(s, n),
+                                   ca[at], cb[at])
+    ev["emit_subbin"] = s + PIPELINE_DEPTH_SUBBINS
+    ev["sum_a"] = pa[j] - pa[i]
+    ev["sum_b"] = pb[j] - pb[i]
+    return ev
 
 
 def coincidence_gate(events: np.ndarray, coincidence_only: bool) -> np.ndarray:

@@ -7,6 +7,7 @@ minutes.
 
 import time
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +200,19 @@ def test_golden_bundle_listing(ten_runs):
         pytest.xfail(f"host differs from the golden listing's in "
                      f"{', '.join(differs)}; moved: {detail}")
     pytest.fail(f"bundle files moved from tests/golden_bundles.json: {detail}")
+
+
+@pytest.mark.slow
+def test_every_written_state_loads(ten_runs):
+    # loading validates trace, Hermiticity and PSD, so `photonsub
+    # witness` accepts every state file a run writes
+    for rep in ten_runs:
+        paths = sorted(Path(rep.run_dir).glob("state_*.tms"))
+        assert [p.name for p in paths] == [
+            f"state_{name}.tms" for name in ("exp00", "exp11", "rec00",
+                                             "rec11")]
+        for path in paths:
+            assert fc.TwoModeState.load(path).n_c == rep.config.n_c
 
 
 # ---------------------------------------------------------------------------

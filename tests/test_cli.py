@@ -4,11 +4,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsub import cli
 from photonsub import fock_core as fc
 from photonsub.harness import ExperimentConfig, save_config
-from photonsub.pso import RECORD_DTYPE, write_records
+from photonsub.pso import RECORD_DTYPE, read_records, write_records
 
 
 @pytest.fixture()
@@ -41,11 +43,21 @@ def _bad_state_dump(case) -> bytes:
         return raw[:5] + struct.pack("<I", 60000) + raw[9:]
     if case == "oversized":
         return raw + bytes(4 << 20)
-    return fc.TwoModeState(2, np.full((9, 9), np.nan)).dump()
+    mat = np.zeros((9, 9), dtype=complex)
+    if case == "trace 3":
+        mat[4, 4] = 3.0                         # 3 |1,1><1,1|
+    elif case == "non-Hermitian":
+        mat[0, 0], mat[0, 1] = 1.0, 0.5
+    elif case == "negative eigenvalue":
+        mat[0, 0], mat[4, 4] = 1.5, -0.5
+    else:
+        mat[:] = np.nan
+    return fc.TwoModeState(2, mat).dump()
 
 
 @pytest.mark.parametrize("case", ["truncated", "huge cutoff", "all NaN",
-                                  "oversized"])
+                                  "oversized", "trace 3", "non-Hermitian",
+                                  "negative eigenvalue"])
 def test_bad_state_file_is_one_error_line(tmp_path, capsys, case):
     p = tmp_path / "s.tms"
     p.write_bytes(_bad_state_dump(case))
@@ -161,10 +173,69 @@ def test_reconstruct_refuses_a_partial_record(small_cfg, tmp_path, capsys):
     '{"shot_noise_scale": [1000.0, NaN]}',
     '{"shot_noise_scale": [1000.0, Infinity]}',
     '{"shot_noise_scale": [1000.0, "1000"]}',
-    '{"shot_noise_scale": [true, 1000.0]}'])
+    '{"shot_noise_scale": [true, 1000.0]}', "[" * 3000])
 def test_reconstruct_refuses_bad_run_meta(small_cfg, tmp_path, capsys, meta):
     err = _reconstruct_error(small_cfg, _dataset(tmp_path, meta), capsys)
     assert "run_meta.txt" in err
+
+
+def _state_bytes(n_c, weight, body) -> bytes:
+    return b"TMST\x01" + struct.pack("<Id", n_c, weight) + body
+
+
+def _flip(raw, at, value) -> bytes:
+    at %= len(raw)
+    return raw[:at] + bytes([value]) + raw[at + 1:]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers()
+    | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["shot_noise_scale", "delays"]) | st.text(max_size=4),
+        kids, max_size=3), max_leaves=8)
+_VALID_DUMPS = [fc.TwoModeState.vacuum(1).dump(), fc.TwoModeState(
+    1, np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)).dump()]
+_BUNDLE_BYTES = st.one_of(
+    st.binary(max_size=4096),
+    st.builds(_state_bytes, st.integers(0, 3) | st.integers(0, 2 ** 32 - 1),
+              st.floats(), st.binary(max_size=2048)),
+    st.integers(0, 2).flatmap(lambda n_c: st.builds(
+        _state_bytes, st.just(n_c), st.floats(),
+        st.binary(min_size=16 * (n_c + 1) ** 4,
+                  max_size=16 * (n_c + 1) ** 4))),
+    st.builds(_flip, st.sampled_from(_VALID_DUMPS), st.integers(0, 1 << 12),
+              st.integers(0, 255)),
+    st.sampled_from(_VALID_DUMPS),
+    st.builds(lambda v: json.dumps({"shot_noise_scale": v}).encode(), _JSON),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    st.integers(1, 4000).map(lambda n: b"[" * n))
+
+
+def _read_or_none(read, arg):
+    try:
+        return read(arg)
+    except ValueError:
+        return None
+
+
+@given(raw=_BUNDLE_BYTES)
+@settings(max_examples=300, deadline=None)
+def test_bundle_reader_fuzz_valid_or_value_error(tmp_path_factory, raw):
+    # the three readers of a run bundle's files turn any bytes into a
+    # valid object or a ValueError, which the CLI prints as one error line
+    path = tmp_path_factory.mktemp("fuzz") / "file"
+    path.write_bytes(raw)
+    state = _read_or_none(fc.TwoModeState.from_dump, raw)
+    if state is not None:
+        state.validate()
+        assert state.n_c <= fc.MAX_CUTOFF and state.dump() == raw
+    records = _read_or_none(read_records, path)
+    if records is not None:
+        assert records.dtype == RECORD_DTYPE and records.tobytes() == raw
+    scale = _read_or_none(cli._shot_noise_scale, path)
+    if scale is not None:
+        assert len(scale) == 2 and all(0 < s < np.inf for s in scale)
 
 
 @pytest.mark.parametrize("cls", ["1", "1,x", "1,1,1", "1.5,1"])

@@ -307,8 +307,10 @@ class TestStateContainer:
         (fc.TwoModeState(1, np.full((4, 4), np.inf)).dump(), "non-finite"),
         (b"TMST\x01" + struct.pack("<Id", 0, np.nan) + bytes(16),
          "non-finite"),
+        (fc.TwoModeState(1, np.diag([1.5e308, 1.5e308, -1.5e308, -1.5e308])
+                         .astype(complex)).dump(), "oversized"),
     ], ids=["short header", "truncated", "trailing byte", "huge cutoff",
-            "inf entries", "nan weight"])
+            "inf entries", "nan weight", "overflowing entries"])
     def test_dump_refuses_malformed(self, raw, match):
         with pytest.raises(ValueError, match=match):
             fc.TwoModeState.from_dump(raw)

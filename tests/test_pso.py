@@ -114,23 +114,52 @@ class TestPipeline:
             assert got_s == exp_s
 
     def test_stream_equals_window_scan_oracle(self):
-        rng = np.random.default_rng(42)
-        n = 400
-        subbins = np.sort(rng.integers(0, 6000, size=n))
-        sides = rng.integers(0, 2, size=n)
-        ev = pso.coincidence_pipeline(subbins, sides)
-        ref = dense_window_scan(subbins, sides, span_end=6010)
-        assert ev.size == len(ref)
-        for e, (s, wa, wb) in zip(ev, ref):
-            assert e["alignment"] == s
-            # the trigger flag reaches the coarse domain 4 sub-bins into
-            # the window; the herald leaves a fixed pipeline depth later
-            assert e["coarse"] == (s + 4) // 3
-            assert e["emit_subbin"] == s + pso.PIPELINE_DEPTH_SUBBINS
-            assert e["sum_a"] == wa.sum() and e["sum_b"] == wb.sum()
-            aa, bb, _, _ = pso.unpack_signature(e["signature"])
-            np.testing.assert_array_equal(aa[0], wa)
-            np.testing.assert_array_equal(bb[0], wb)
+        for seed in (42, 0, 1, 2, 3):
+            rng = np.random.default_rng(seed)
+            n = 400
+            subbins = np.sort(rng.integers(0, 6000, size=n))
+            sides = rng.integers(0, 2, size=n)
+            ev = pso.coincidence_pipeline(subbins, sides)
+            ref = dense_window_scan(subbins, sides, span_end=6010)
+            assert ev.size == len(ref)
+            for e, (s, wa, wb) in zip(ev, ref):
+                assert e["alignment"] == s
+                # the trigger flag reaches the coarse domain 4 sub-bins
+                # into the window; the herald leaves a fixed pipeline
+                # depth later
+                assert e["coarse"] == (s + 4) // 3
+                assert e["emit_subbin"] == s + pso.PIPELINE_DEPTH_SUBBINS
+                assert e["sum_a"] == wa.sum() and e["sum_b"] == wb.sum()
+                aa, bb, _, _ = pso.unpack_signature(e["signature"])
+                np.testing.assert_array_equal(aa[0], wa)
+                np.testing.assert_array_equal(bb[0], wb)
+
+    def test_stacked_streams_equal_window_scan_signatures(self):
+        # up to 24 pulses per sub-bin, mostly side B: 3-bit fields clip
+        # at 7 and side-B sums of 16 or more set bit 63; every signature
+        # is pack_signature of the oracle's window and unpacks to its
+        # clipped counts, also for no pulses and for one
+        rng = np.random.default_rng(8)
+        subbins = np.repeat(rng.integers(0, 3000, size=80),
+                            rng.integers(1, 25, size=80))
+        stacked = (subbins, (rng.random(subbins.size) < 0.7).astype(int))
+        clipped = bit63 = 0
+        for subbins, sides in (stacked, ([], []), ([900], [1])):
+            ev = pso.coincidence_pipeline(subbins, sides)
+            ref = dense_window_scan(subbins, sides,
+                                    span_end=max(subbins, default=0) + 10)
+            assert ev.dtype == pso.EVENT_DTYPE and ev.size == len(ref)
+            for e, (s, wa, wb) in zip(ev, ref):
+                assert e["alignment"] == s
+                assert e["sum_a"] == wa.sum() and e["sum_b"] == wb.sum()
+                assert e["signature"] == pso.pack_signature(wa, wb)[0]
+                aa, bb, sa, sb = pso.unpack_signature(e["signature"])
+                np.testing.assert_array_equal(aa[0], np.minimum(wa, 7))
+                np.testing.assert_array_equal(bb[0], np.minimum(wb, 7))
+                assert (sa[0], sb[0]) == (min(wa.sum(), 31), min(wb.sum(), 31))
+                clipped += max(wa.max(), wb.max()) > 7
+                bit63 += int(e["signature"]) >> 63
+        assert clipped and bit63
 
     def test_each_pulse_contributes_once(self):
         # a burst that could retrigger must consume its pulses
