@@ -15,10 +15,9 @@ number of mode 1.
 from __future__ import annotations
 
 import io
-import json
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, sqrt, tanh
 
 import numpy as np
@@ -26,13 +25,11 @@ import numpy as np
 __all__ = [
     "SubtractionModel",
     "TwoModeState",
-    "CoefficientTable",
     "TruncationWarning",
     "ZeroProbabilityError",
     "DivergenceError",
     "CutoffTooSmallError",
     "subtraction_coefficient",
-    "coefficient_table",
     "normalization_sq",
     "success_probability",
     "pure_subtracted_state",
@@ -106,15 +103,6 @@ class SubtractionModel:
         """lambda = tanh(r) * sqrt((1-R1)(1-R2)), the post-tap ladder ratio."""
         return self.t_r * sqrt((1.0 - self.R1) * (1.0 - self.R2))
 
-    @property
-    def nu(self) -> float:
-        """sqrt((1-eta1)(1-eta2)), the joint loss factor."""
-        return sqrt((1.0 - self.eta1) * (1.0 - self.eta2))
-
-    def with_signature(self, n_sub: int, m_sub: int) -> "SubtractionModel":
-        return SubtractionModel(self.r, self.R1, self.R2, self.eta1, self.eta2,
-                                n_sub, m_sub)
-
 
 class TwoModeState:
     """Density matrix on the two-mode Fock space truncated at n_c per mode.
@@ -158,9 +146,6 @@ class TwoModeState:
 
     def index(self, n: int, m: int) -> int:
         return n * (self.n_c + 1) + m
-
-    def element(self, bra: tuple, ket: tuple) -> complex:
-        return self.matrix[self.index(*bra), self.index(*ket)]
 
     def population(self, n: int, m: int) -> float:
         return self.matrix[self.index(n, m), self.index(n, m)].real
@@ -230,26 +215,6 @@ class TwoModeState:
             return cls.from_dump(
                 fh.read(_DUMP_HEADER + 16 * (MAX_CUTOFF + 1) ** 4 + 1))
 
-    def meta_json(self) -> str:
-        return json.dumps({"n_c": self.n_c, "dim": self.dim,
-                           "truncation_weight": self.truncation_weight,
-                           "index_order": "n*(n_c+1)+m"})
-
-
-@dataclass
-class CoefficientTable:
-    """Ladder coefficients c_k for one subtraction signature, k <= k_max."""
-
-    n_sub: int
-    m_sub: int
-    k_max: int
-    values: np.ndarray = field(repr=False)
-
-    def value(self, k: int) -> float:
-        if k < 0 or k > self.k_max:
-            raise IndexError(f"k={k} outside table (k_max={self.k_max})")
-        return float(self.values[k])
-
 
 def _binomial_amplitude(k: int, n: int, R: float) -> float:
     """sqrt(C(k,n) (1-R)^(k-n) R^n): beamsplitter amplitude for keeping
@@ -272,11 +237,6 @@ def subtraction_coefficient(k: int, model: SubtractionModel) -> float:
     return ((-model.t_r) ** k
             * _binomial_amplitude(k, model.n_sub, model.R1)
             * _binomial_amplitude(k, model.m_sub, model.R2))
-
-
-def coefficient_table(model: SubtractionModel, k_max: int) -> CoefficientTable:
-    vals = np.array([subtraction_coefficient(k, model) for k in range(k_max + 1)])
-    return CoefficientTable(model.n_sub, model.m_sub, k_max, vals)
 
 
 def _series_norm_sq(model: SubtractionModel) -> float:

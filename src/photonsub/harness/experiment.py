@@ -27,8 +27,8 @@ from ..tomography import (ReconstructionReport, TomographyDataset,
 from .calibration import thermal_calibration
 from .config import ExperimentConfig
 from .generator import (DRIVE_A, DRIVE_B, THERMAL_PULSE_PERIOD,
-                        THERMAL_THRESHOLD_CODE, WINDOW, StreamGenerator,
-                        _rng, herald_subbins)
+                        THERMAL_THRESHOLD_CODE, StreamGenerator, _rng,
+                        herald_subbins)
 
 _STREAM_SHOT = 21
 _STREAM_ZERO = 22
@@ -72,22 +72,25 @@ def run_delay_calibration(rig: Rig, pulses_wanted: int = 10_000):
     cfg = rig.config
     span = min(pulses_wanted * THERMAL_PULSE_PERIOD + 200, rig.half - 100)
 
+    def control(client, line):
+        reply = client.control(line)
+        if reply != "OK":
+            raise RuntimeError(f"{line} failed: {reply}")
+
     def calibrate(side, server, client, offset):
         client.start_run(offset)
         subbins, sides = rig.generator.thermal_epoch(server, side, span)
-        # zero-fill the rest of the half so it seals
-        zeros = np.zeros(WINDOW, dtype=np.int64)
-        for lo in range(span, rig.half + 1, WINDOW):
-            n = min(WINDOW, rig.half + 1 - lo)
-            server.ingest_samples(zeros[:n], zeros[:n])
         events = coincidence_pipeline(subbins, sides)
         # PSO tags live on the master clock; the server's start skew shows
         # up in the crossing tags and lands inside the measured delay
         det_tags = events["coarse"]
+        # a halted server serves the written words of an unsealed half
+        control(client, "HALT")
         client.set_config(mode="threshold", threshold=THERMAL_THRESHOLD_CODE,
                           slope="RISING")
         crossings = client.threshold_scan(0, 0, span)
         client.set_config(mode="samples")
+        control(client, "RESUME")
         return thermal_calibration(det_tags, crossings)
 
     results = tuple(task_map(lambda args: calibrate(*args), (

@@ -95,9 +95,6 @@ PIPELINE_COARSE_OFFSET = int(coincidence_pipeline(
 class StreamGenerator:
     """Sample and pulse streams of one ExperimentConfig (validated here)."""
 
-    drive_a = DRIVE_A
-    drive_b = DRIVE_B
-
     def __init__(self, config):
         self.config = config.validate()
         lam = config.model(0, 0).effective_squeezing
@@ -110,10 +107,9 @@ class StreamGenerator:
         self._class_table = self._build_class_table()
         # one period of the background correlation at mode time tau and of
         # its complement, the drives' common period lcm(1e5, 1e4) samples
-        tau = np.arange(np.lcm(self.drive_a.period_samples,
-                               self.drive_b.period_samples))
-        th1 = self.drive_a.evaluate(tau + config.true_delay_a)[0]
-        th2 = self.drive_b.evaluate(tau + config.true_delay_b)[0]
+        tau = np.arange(np.lcm(DRIVE_A.period_samples, DRIVE_B.period_samples))
+        th1 = DRIVE_A.evaluate(tau + config.true_delay_a)[0]
+        th2 = DRIVE_B.evaluate(tau + config.true_delay_b)[0]
         self._rho_c = -self._cov_amp * np.cos(th1 + th2) / (
             self._sig_a * self._sig_b)
         self._rho_c_perp = np.sqrt(1.0 - self._rho_c ** 2)
@@ -221,8 +217,8 @@ class StreamGenerator:
         cfg = self.config
         x1 = np.zeros(plan.coarse.size)
         x2 = np.zeros(plan.coarse.size)
-        th1 = self.drive_a.evaluate(plan.coarse + cfg.true_delay_a)[0]
-        th2 = self.drive_b.evaluate(plan.coarse + cfg.true_delay_b)[0]
+        th1 = DRIVE_A.evaluate(plan.coarse + cfg.true_delay_a)[0]
+        th2 = DRIVE_B.evaluate(plan.coarse + cfg.true_delay_b)[0]
         rng = _rng(cfg.seed, _STREAM_DRAWS, stream_key)
         # the classes present, in sorted order: they share one stream
         for cls in [(n, m) for n in np.unique(plan.cls_n).tolist()
@@ -267,17 +263,6 @@ class StreamGenerator:
             max(i1 - max(drawn, i0), 0))])
         self._z_state[stream] = (chunk, rng, i0, block)
         return block[:i1 - i0]
-
-    def background_pair(self, tau_lo: int, tau_hi: int):
-        """Correlated no-subtraction quadrature pair per mode time tau.
-
-        Mode time tau indexes the shared temporal mode: server A sees the
-        pair member at global time tau + true_delay_a, server B at
-        tau + true_delay_b.  Chunk-keyed Philox streams make any sub-range
-        reproducible.
-        """
-        return self._mix(tau_lo, self._z_stream(_STREAM_Z1, tau_lo, tau_hi),
-                         self._z_stream(_STREAM_Z2, tau_lo, tau_hi))
 
     def _mix(self, tau_lo: int, z1, z2):
         """(sig_a z1, sig_b (rho z1 + rho_perp z2)) from the two streams'
@@ -324,8 +309,8 @@ class StreamGenerator:
         channels = [
             (d_hi - delay, plan.coarse[lit] + delay, x[lit], drive, server)
             for delay, x, drive, server in (
-                (cfg.true_delay_a, hx1, self.drive_a, server_a),
-                (cfg.true_delay_b, hx2, self.drive_b, server_b))]
+                (cfg.true_delay_a, hx1, DRIVE_A, server_a),
+                (cfg.true_delay_b, hx2, DRIVE_B, server_b))]
         starts = range(lo, hi, WINDOW)
 
         def normals(stream):
@@ -382,7 +367,7 @@ class StreamGenerator:
         n_noise = rng.poisson(_NOISE_CROSSING_RATE * half)
         noise_pos = rng.integers(0, half, size=n_noise)
         a[noise_pos] = THERMAL_THRESHOLD_CODE + 1000
-        drive = self.drive_a if side == 0 else self.drive_b
+        drive = DRIVE_A if side == 0 else DRIVE_B
         for lo in range(0, half, WINDOW):
             hi = min(lo + WINDOW, half)
             server.ingest_samples(np.clip(a[lo:hi], ADC_MIN, ADC_MAX),

@@ -2,16 +2,15 @@
 
 Quadrature convention: x_theta = (a e^{-i theta} + a+ e^{i theta})/sqrt(2),
 hbar = 1, vacuum variance 1/2.  Provides the oscillator wavefunctions via
-the stable normalized recurrence, the rank-1 POVM elements, the joint
-two-mode quadrature density, the real pair coordinates in which that
-density is one real bilinear form (shared by the sampler and the
-tomography), a grid-based inverse-CDF sampler, and the sawtooth
-phase-drive model used by the acquisition plane.
+the stable normalized recurrence, the real pair coordinates in which the
+joint two-mode quadrature density is one real bilinear form (shared by
+the sampler and the tomography), a grid-based inverse-CDF sampler, and
+the sawtooth phase-drive model used by the acquisition plane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,18 +20,11 @@ from .hds.words import ADC_MAX as ADC_CODE_MAX, ADC_MIN as ADC_CODE_MIN
 from .parallel import task_map
 
 __all__ = [
-    "PovmElement",
     "PhaseDrive",
     "GridMassError",
     "PairCoordinates",
-    "oscillator_wavefunction",
     "hermite_functions",
-    "povm_element",
-    "joint_probability",
     "QuadratureSampler",
-    "sample_quadratures",
-    "phase_at",
-    "quadrature_operator",
     "ADC_CODE_MIN",
     "ADC_CODE_MAX",
 ]
@@ -66,61 +58,6 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
         out[n + 1] = (np.sqrt(2.0 / (n + 1)) * x * out[n]
                       - np.sqrt(n / (n + 1.0)) * out[n - 1])
     return out
-
-
-def oscillator_wavefunction(n: int, x):
-    """psi_n(x) = H_n(x) e^{-x^2/2} / (pi^{1/4} sqrt(2^n n!))."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return hermite_functions(n, x)[n]
-
-
-def quadrature_eigenvector(x, theta, n_c: int) -> np.ndarray:
-    """<n|x_theta> = e^{-i n theta} psi_n(x) for n = 0..n_c on the first
-    axis; x and theta are scalars or equal-shape arrays."""
-    return hermite_functions(n_c, x) * np.exp(
-        -1j * np.multiply.outer(np.arange(n_c + 1), theta))
-
-
-def two_mode_vectors(x1, x2, theta1, theta2, n_c: int) -> np.ndarray:
-    """Rank-1 two-mode POVM factors <n, m|x1_theta1, x2_theta2> on the last
-    axis (index n*(n_c+1)+m), one row per record for array input."""
-    v1 = quadrature_eigenvector(x1, theta1, n_c)
-    v2 = quadrature_eigenvector(x2, theta2, n_c)
-    v = (v1[:, None] * v2[None, :]).reshape((-1,) + v1.shape[1:])
-    return np.moveaxis(v, 0, -1).copy()
-
-
-@dataclass
-class PovmElement:
-    """Rank-1 homodyne projector |x_theta><x_theta| on one truncated mode."""
-
-    x: float
-    theta: float
-    matrix: np.ndarray = field(repr=False)
-
-
-def povm_element(x: float, theta: float, n_c: int) -> PovmElement:
-    """Homodyne POVM element; entry (m, n) carries the phase e^{-i(m-n)theta}."""
-    v = quadrature_eigenvector(x, theta, n_c)
-    return PovmElement(x=x, theta=theta, matrix=np.outer(v, v.conj()))
-
-
-def quadrature_operator(theta: float, n_c: int) -> np.ndarray:
-    """Single-mode x_theta operator matrix on the truncated basis."""
-    a = np.diag(np.sqrt(np.arange(1, n_c + 1)), k=1)
-    return (a * np.exp(-1j * theta) + a.conj().T * np.exp(1j * theta)) / np.sqrt(2)
-
-
-def joint_probability(state: TwoModeState, x1: float, x2: float,
-                      theta1: float, theta2: float) -> float:
-    """p(x1, x2 | theta1, theta2) = Tr[rho Pi1 x Pi2], clamped at zero.
-
-    Rank-1 structure makes this <v1 v2| rho |v1 v2>.
-    """
-    v = two_mode_vectors(x1, x2, theta1, theta2, state.n_c)
-    p = float(np.real(v.conj() @ state.matrix @ v))
-    return 0.0 if -1e-14 < p < 0.0 else p
 
 
 class PairCoordinates:
@@ -232,11 +169,6 @@ class QuadratureSampler:
                     f"grid holds {total:.6f} of unit mass at phases "
                     f"({a:.2f}, {b:.2f}); widen the grid")
 
-    def sample(self, theta1: float, theta2: float, rng: np.random.Generator):
-        """One (x1, x2) draw at the given local-oscillator phases."""
-        x1, x2 = self.sample_batch(np.atleast_1d(theta1), np.atleast_1d(theta2), rng)
-        return float(x1[0]), float(x2[0])
-
     def sample_batch(self, theta1, theta2, rng: np.random.Generator):
         """Vectorized draws, one per phase pair; deterministic given the
         generator state.  The uniforms come first, laid out in DRAW_BLOCK
@@ -285,13 +217,6 @@ class QuadratureSampler:
             i = np.where(below, j, i)
             step >>= 1
         return np.minimum(i, size - 1)
-
-
-def sample_quadratures(state: TwoModeState, theta1: float, theta2: float,
-                       rng_seed) -> tuple:
-    """Single joint draw; build a QuadratureSampler directly for batches."""
-    rng = np.random.default_rng(rng_seed)     # a Generator passes through
-    return QuadratureSampler(state).sample(theta1, theta2, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +284,3 @@ class PhaseDrive:
         return ((code - ADC_CODE_MIN) / _ADC_CODES * 2 * np.pi
                 + self.phase_offset) % (2 * np.pi)
 
-
-def phase_at(drive: PhaseDrive, timetag: int):
-    """(theta, adc_code, in_ramp) of the drive at one timetag."""
-    theta, code, in_ramp = drive.evaluate(np.atleast_1d(timetag))
-    return float(theta[0]), int(code[0]), bool(in_ramp[0])

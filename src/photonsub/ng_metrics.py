@@ -1,9 +1,8 @@
 """Entanglement and quantum non-Gaussianity figures of merit.
 
-Uhlmann fidelity, partial transpose and logarithmic negativity (numeric and
-closed form), and the stellar-rank witness based on the fidelity with the
-two-photon Fock state |1,1>, including its closed forms under symmetric
-loss.
+Uhlmann fidelity, partial transpose and logarithmic negativity, and the
+stellar-rank witness based on the fidelity with the two-photon Fock state
+|1,1>, including its closed forms under symmetric loss.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "uhlmann_fidelity",
     "partial_transpose",
     "log_negativity",
-    "closed_form_log_negativity",
     "fock11_fidelity_closed",
     "witness",
     "max_fidelity_over_lambda",
@@ -103,16 +101,6 @@ def log_negativity(state: TwoModeState, mode: int = 2) -> float:
     w = np.linalg.eigvalsh(partial_transpose(state, mode))
     w = np.where((w < 0) & (w > -_EIG_CLAMP), 0.0, w)
     return max(0.0, log2(np.abs(w).sum()))
-
-
-def closed_form_log_negativity(lam: float, subtracted: bool) -> float:
-    """E_N of the pure ladder states: plain (subtracted=False) or with one
-    photon removed per mode (subtracted=True)."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"effective squeezing must lie in [0, 1), got {lam}")
-    if subtracted:
-        return log2((1 + lam) ** 3 / ((1 + lam ** 2) * (1 - lam)))
-    return log2((1 + lam) / (1 - lam))
 
 
 def fock11_fidelity_closed(lam, eta: float, n: int):

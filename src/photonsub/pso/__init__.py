@@ -1,7 +1,6 @@
 """Photon-subtraction orchestrator: trigger pipeline, filters, records."""
 
-from .centroid import (pack_signature, signature_class, unpack_signature,
-                       weighted_average_subbin)
+from .centroid import signature_class
 from .engine import PsoConsole, PsoEngine, PsoRunConfig
 from .pipeline import (EVENT_DTYPE, PIPELINE_DEPTH_SUBBINS, coincidence_gate,
                        coincidence_pipeline, hold_time_filter,
@@ -10,7 +9,6 @@ from .records import (RECORD_DTYPE, DatasetWriter, RunReport, build_records,
                       read_class, read_records, write_records)
 
 __all__ = [
-    "weighted_average_subbin", "pack_signature", "unpack_signature",
     "signature_class",
     "PsoConsole", "PsoEngine", "PsoRunConfig",
     "EVENT_DTYPE", "PIPELINE_DEPTH_SUBBINS", "coincidence_pipeline",

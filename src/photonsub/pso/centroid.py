@@ -20,24 +20,6 @@ TRIGGER_BINS = (4, 5, 6)
 SUBBIN_FIELD_BITS = 3
 SUM_SHIFT = 27
 SUM_MASK = 0x1F
-_SHIFTS = (SUBBIN_FIELD_BITS * np.arange(9)).astype(np.uint64)
-
-
-def weighted_average_subbin(counts) -> int | None:
-    """Centroid bin (0..8) of an 18-count window (9 per side), or None.
-
-    counts: length-18 sequence, side A sub-bins first, then side B; counts
-    are combined per sub-bin before the average.
-    """
-    c = np.asarray(counts, dtype=np.int64)
-    if c.shape != (18,):
-        raise ValueError("expected 18 sub-bin counts (9 per side)")
-    combined = c[:9] + c[9:]
-    total = int(combined.sum())
-    if total == 0:
-        return None
-    num = int(np.dot(np.arange(9), combined))
-    return int(centroid_bins([num], [total])[0])
 
 
 def centroid_bins(numerators, totals) -> np.ndarray:
@@ -71,27 +53,6 @@ def pack_windows(starts, index, a_counts, b_counts) -> np.ndarray:
         total = np.minimum(np.add.reduceat(c, starts), SUM_MASK)
         words.append(fields | (total << np.uint64(SUM_SHIFT)))
     return words[0] | (words[1] << np.uint64(32))
-
-
-def pack_signature(a_counts, b_counts) -> np.ndarray:
-    """Pack per-side 9-bin count vectors into 64-bit signature words.
-
-    Accepts (9,) or (n, 9) arrays; 3-bit fields clip at 7, side sums at 31.
-    """
-    a = np.atleast_2d(np.asarray(a_counts, dtype=np.uint64))
-    b = np.atleast_2d(np.asarray(b_counts, dtype=np.uint64))
-    if a.shape[1] != 9 or b.shape[1] != 9:
-        raise ValueError("need 9 sub-bin counts per side")
-    return pack_windows(np.arange(0, a.size, 9), np.tile(np.arange(9), len(a)),
-                        a.ravel(), b.ravel())
-
-
-def unpack_signature(words):
-    """(a_counts, b_counts, sum_a, sum_b) from signature words."""
-    w = np.atleast_1d(np.asarray(words, dtype=np.uint64))
-    a, b = (((w[:, None] >> (_SHIFTS + np.uint64(offset)))
-             & np.uint64(7)).astype(np.int64) for offset in (0, 32))
-    return (a, b, *signature_class(w))
 
 
 def signature_class(words):

@@ -1,4 +1,4 @@
-"""Conformance-replay test vectors: (timetag, word) pair dumps.
+"""HDS conformance-replay test vectors: (timetag, word) pair dumps.
 
 File layout: ASCII header line "HDSTV1 <count>", then count little-endian
 (uint32 timetag, uint32 word) pairs.  A replay ingests nothing; it queries
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .words import WORD_DTYPE
+from photonsub.hds.words import WORD_DTYPE
 
 _PAIR_DTYPE = np.dtype([("timetag", "<u4"), ("word", "<u4")])
 

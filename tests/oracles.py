@@ -8,7 +8,7 @@ types.
 """
 
 import numpy as np
-from math import comb, sqrt, tanh
+from math import comb, log2, sqrt, tanh
 from scipy.special import eval_hermite, factorial
 
 from photonsub.fock_core import (CutoffTooSmallError, TwoModeState,
@@ -225,6 +225,28 @@ def centroid_division_oracle(counts):
     return int(np.dot(np.arange(counts.size), counts) // total)
 
 
+def unpack_signature(words):
+    """(a_counts, b_counts, sum_a, sum_b) of 64-bit signature words: side A
+    in the low word, side B in the high one; in each, sub-bin i in bits
+    3i..3i+2 and the side sum in bits 27..31."""
+    w = [int(v) for v in np.atleast_1d(words)]
+    a, b = (np.array([[(v >> (off + 3 * i)) & 7 for i in range(9)] for v in w],
+                     dtype=np.int64).reshape(-1, 9) for off in (0, 32))
+    sa, sb = (np.array([(v >> (off + 27)) & 0x1F for v in w], dtype=np.int64)
+              for off in (0, 32))
+    return a, b, sa, sb
+
+
+def closed_form_log_negativity(lam, subtracted):
+    """E_N of the pure ladder states, summed over the untruncated ladder:
+    plain (subtracted=False) or with one photon removed per mode."""
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"effective squeezing must lie in [0, 1), got {lam}")
+    if subtracted:
+        return log2((1 + lam) ** 3 / ((1 + lam ** 2) * (1 - lam)))
+    return log2((1 + lam) / (1 - lam))
+
+
 def dense_window_scan(subbins, sides, span_end):
     """Reference trigger scan on a dense count array, one alignment at a
     time, consuming pulses on trigger.  Triggering ignores the
@@ -257,6 +279,19 @@ def hermite_function_table(n_c, x):
     n = np.arange(n_c + 1).reshape((-1,) + (1,) * x.ndim)
     return (eval_hermite(n, x) * np.exp(-0.5 * x * x)
             / np.sqrt(2.0 ** n * factorial(n) * np.sqrt(np.pi)))
+
+
+def quadrature_vector(x, theta, n_c):
+    """<n|x_theta> = e^{-i n theta} psi_n(x), n = 0..n_c, at one point."""
+    return hermite_function_table(n_c, x) * np.exp(
+        -1j * theta * np.arange(n_c + 1))
+
+
+def quadrature_operator(theta, n_c):
+    """Single-mode x_theta = (a e^{-i theta} + a+ e^{i theta}) / sqrt(2)
+    on the truncated basis."""
+    a = np.diag(np.sqrt(np.arange(1, n_c + 1)), k=1)
+    return (a * np.exp(-1j * theta) + a.T * np.exp(1j * theta)) / np.sqrt(2)
 
 
 def rank_one_vectors(x1, x2, theta1, theta2, n_c):

@@ -6,6 +6,7 @@ minutes.
 """
 
 import time
+from dataclasses import replace
 from math import sqrt
 from pathlib import Path
 
@@ -18,8 +19,9 @@ from photonsub import harness as hx
 from photonsub.conformance import LoopbackSocketTransport, run_protocol_checks
 from photonsub.pso.centroid import centroid_bins
 import golden_bundles
-from oracles import (circuit_oracle, kraus_lossy_state, naive_coefficient,
-                     naive_norm_sq, pure_ladder_amplitudes)
+from oracles import (circuit_oracle, closed_form_log_negativity,
+                     kraus_lossy_state, naive_coefficient, naive_norm_sq,
+                     pure_ladder_amplitudes)
 
 
 def verdict(num, label, ok, detail=""):
@@ -69,7 +71,7 @@ def test_criterion_1_closed_forms_vs_oracles():
                             np.abs(st.matrix - ref).max()))
                         if eta == 1.0:
                             pure = fc.pure_subtracted_state(
-                                mdl.with_signature(n, m), n_c=6)
+                                replace(mdl, n_sub=n, m_sub=m), n_c=6)
                             worst_state = max(worst_state, float(
                                 np.abs(pure.matrix - orc.matrix).max()))
     dt = time.time() - t0
@@ -107,11 +109,11 @@ def test_criterion_3_entanglement_closed_forms():
     for lam in (0.1, 0.25, 0.4):
         m0 = fc.SubtractionModel(r=np.arctanh(lam), R1=0.0, R2=0.0)
         e0 = abs(ng.log_negativity(fc.pure_subtracted_state(m0, 12))
-                 - ng.closed_form_log_negativity(lam, False))
+                 - closed_form_log_negativity(lam, False))
         m1 = fc.SubtractionModel(r=np.arctanh(lam / 0.9), R1=0.1, R2=0.1,
                                  n_sub=1, m_sub=1)
         e1 = abs(ng.log_negativity(fc.pure_subtracted_state(m1, 12))
-                 - ng.closed_form_log_negativity(lam, True))
+                 - closed_form_log_negativity(lam, True))
         literal_ok &= e0 < 1e-6 and e1 < 1e-6
         details.append(f"lam={lam}: {e0:.1e}/{e1:.1e}")
     # machinery exactness: numeric PT against the truncated Schmidt sum

@@ -15,12 +15,13 @@ from photonsub import ng_metrics as ng
 from photonsub import harness as hx
 from photonsub import parallel
 from photonsub.harness.calibration import MAX_LAG
-from photonsub.harness.generator import (CHUNK, PIPELINE_COARSE_OFFSET,
-                                         StreamGenerator, _rng, periodic)
+from photonsub.harness.generator import (
+    _STREAM_Z1, _STREAM_Z2, CHUNK, DRIVE_A, DRIVE_B, PIPELINE_COARSE_OFFSET,
+    THERMAL_PULSE_PERIOD, StreamGenerator, _rng, periodic)
 from photonsub.hds import DEFAULT_PAGES
-from photonsub.homodyne_model import quadrature_operator
 from photonsub.pso import coincidence_pipeline
 import golden_bundles
+from oracles import quadrature_operator
 from test_parallel import blas_threads, leftovers
 
 
@@ -33,6 +34,14 @@ SMALL = hx.ExperimentConfig(pages=4096, shutter_bins=200_000,
                             zero_detection_rate=2 ** 13,
                             max_iterations=150, seed=5)
 CONFIG_KEYS = [f.name for f in dataclasses.fields(hx.ExperimentConfig)]
+
+
+def background_pair(gen, tau_lo, tau_hi):
+    """The generator's correlated no-subtraction pair over mode times
+    [tau_lo, tau_hi): server A sees it at tau + true_delay_a, B at
+    tau + true_delay_b."""
+    return gen._mix(tau_lo, gen._z_stream(_STREAM_Z1, tau_lo, tau_hi),
+                    gen._z_stream(_STREAM_Z2, tau_lo, tau_hi))
 
 
 class TestConfig:
@@ -182,10 +191,10 @@ class TestGeneratorStatistics:
         gen = StreamGenerator(SMALL)
         cfg = SMALL
         n = 400_000
-        xa, xb = gen.background_pair(10_000_000, 10_000_000 + n)
+        xa, xb = background_pair(gen, 10_000_000, 10_000_000 + n)
         t = np.arange(10_000_000, 10_000_000 + n)
-        th1 = gen.drive_a.evaluate(t + cfg.true_delay_a)[0]
-        th2 = gen.drive_b.evaluate(t + cfg.true_delay_b)[0]
+        th1 = DRIVE_A.evaluate(t + cfg.true_delay_a)[0]
+        th2 = DRIVE_B.evaluate(t + cfg.true_delay_b)[0]
         state = fc.lossy_subtracted_state(cfg.model(0, 0), 8)
         d = 9
         x_op = quadrature_operator(0.0, 8)
@@ -203,8 +212,8 @@ class TestGeneratorStatistics:
         # the same tau range regenerates identically regardless of the
         # requested window
         gen = StreamGenerator(SMALL)
-        a1, b1 = gen.background_pair(4_194_200, 4_194_400)
-        a2, b2 = gen.background_pair(4_194_300, 4_194_350)
+        a1, b1 = background_pair(gen, 4_194_200, 4_194_400)
+        a2, b2 = background_pair(gen, 4_194_300, 4_194_350)
         np.testing.assert_array_equal(a1[100:150], a2)
         np.testing.assert_array_equal(b1[100:150], b2)
 
@@ -241,7 +250,7 @@ class TestGeneratorStatistics:
                              cls_m=np.ones(n, dtype=np.int64),
                              dark=np.zeros(n, dtype=bool))
         x1, x2 = gen.heralded_draws(plan)
-        th1 = gen.drive_a.evaluate(coarse + cfg.true_delay_a)[0]
+        th1 = DRIVE_A.evaluate(coarse + cfg.true_delay_a)[0]
         # variance against the operator moment, averaged over drive phases
         d = cfg.n_c + 1
         vars_op = []
@@ -261,8 +270,8 @@ class TestGeneratorStatistics:
         p2 = gen2.plan_heralds(300_000, 500_000)
         np.testing.assert_array_equal(p1.coarse, p2.coarse)
         np.testing.assert_array_equal(p1.cls_n, p2.cls_n)
-        a1, b1 = gen1.background_pair(0, 50_000)
-        a2, b2 = gen2.background_pair(0, 50_000)
+        a1, b1 = background_pair(gen1, 0, 50_000)
+        a2, b2 = background_pair(gen2, 0, 50_000)
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1, b2)
         d1 = gen1.heralded_draws(p1, stream_key=3)
@@ -282,6 +291,16 @@ class TestCalibration:
         expect = rig.config.effective_delays()
         assert abs(delays[0] - expect[0]) <= 1
         assert abs(delays[1] - expect[1]) <= 1
+
+    def test_scans_leave_servers_running_and_unfilled(self, calibrated):
+        # each side's scan runs on a halted server, which is resumed after;
+        # nothing is written past the calibration span
+        rig, _, _ = calibrated
+        span = 1500 * THERMAL_PULSE_PERIOD + 200
+        for server, offset in ((rig.server_a, SMALL.server_offset_a),
+                               (rig.server_b, SMALL.server_offset_b)):
+            assert not server.status().halted
+            assert server.buffer.write_cursor == offset + span
 
     def test_snr_and_fwhm(self, calibrated):
         _, _, results = calibrated
@@ -418,7 +437,7 @@ class TestUnconditionalStatistics:
         # rare subtraction classes leave the unconditional variance at the
         # (0,0) state's value within sampling error
         gen = StreamGenerator(SMALL)
-        xa, _ = gen.background_pair(5_000_000, 5_400_000)
+        xa, _ = background_pair(gen, 5_000_000, 5_400_000)
         lam = SMALL.model(0, 0).effective_squeezing
         var = 0.5 + SMALL.eta1 * lam ** 2 / (1 - lam ** 2)
         assert xa.var() == pytest.approx(var, rel=0.02)

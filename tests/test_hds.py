@@ -14,6 +14,7 @@ from photonsub.hds import protocol as proto
 from photonsub.hds.server import MAX_INTEGRATION_WINDOW, SCAN_BLOCK_WORDS
 from photonsub.hds.words import WORD_DTYPE
 from photonsub.homodyne_model import PhaseDrive
+import hds_test_vectors as tv
 
 
 def make_server(pages=64, **cfg):
@@ -749,7 +750,6 @@ class TestMoreProtocolEdges:
 
 class TestTestVectors:
     def test_dump_and_replay(self, tmp_path):
-        from photonsub.hds import test_vectors as tv
         srv = make_server(pages=64)
         pattern = fill_first_half(srv)
         rng = np.random.default_rng(4)
@@ -761,7 +761,6 @@ class TestTestVectors:
         assert matches == total == 500
 
     def test_header_validation(self, tmp_path):
-        from photonsub.hds import test_vectors as tv
         bad = tmp_path / "junk"
         bad.write_bytes(b"NOPE")
         with pytest.raises(ValueError):

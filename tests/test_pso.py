@@ -4,8 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonsub import hds, pso
-from photonsub.pso.centroid import centroid_bins
-from oracles import centroid_division_oracle, dense_window_scan
+from photonsub.pso.centroid import centroid_bins, pack_windows
+from oracles import (centroid_division_oracle, dense_window_scan,
+                     unpack_signature)
+
+
+def window_centroid(counts):
+    """centroid_bins of one 18-count window, side A's 9 sub-bins first;
+    the sides are combined per sub-bin."""
+    c = np.asarray(counts).reshape(2, 9).sum(axis=0)
+    return int(centroid_bins([c @ np.arange(9)], [c.sum()])[0])
+
+
+def pack_signature(a_counts, b_counts):
+    """Signature words of (9,) or (n, 9) per-side counts, by pack_windows."""
+    a, b = np.atleast_2d(a_counts, b_counts)
+    return pack_windows(np.arange(0, a.size, 9), np.tile(np.arange(9), len(a)),
+                        a.ravel(), b.ravel())
 
 
 def compositions_up_to(total, bins=9):
@@ -28,24 +43,20 @@ class TestCentroid:
     def test_single_count(self):
         counts = np.zeros(18, dtype=int)
         counts[4] = 1
-        assert pso.weighted_average_subbin(counts) == 4
+        assert window_centroid(counts) == 4
 
     def test_symmetric_pair(self):
         counts = np.zeros(18, dtype=int)
         counts[2] = 1
         counts[9 + 6] = 1  # other side, combined mean (2+6)/2 = 4
-        assert pso.weighted_average_subbin(counts) == 4
-
-    def test_zero_total_signals_no_event(self):
-        assert pso.weighted_average_subbin(np.zeros(18, dtype=int)) is None
+        assert window_centroid(counts) == 4
 
     def test_exhaustive_small_patterns(self):
         # all combined patterns with total <= 3 against the division oracle
         pats = compositions_up_to(3)
         for pat in pats:
             counts = np.concatenate([pat, np.zeros(9, dtype=int)])
-            assert pso.weighted_average_subbin(counts) == \
-                centroid_division_oracle(pat)
+            assert window_centroid(counts) == centroid_division_oracle(pat)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -62,30 +73,32 @@ class TestSignature:
     def test_layout_round_trip(self):
         a = np.array([0, 1, 2, 3, 0, 0, 7, 0, 1])
         b = np.array([1, 0, 0, 0, 5, 0, 0, 2, 0])
-        w = pso.pack_signature(a, b)
-        aa, bb, sa, sb = pso.unpack_signature(w)
+        w = pack_signature(a, b)
+        aa, bb, sa, sb = unpack_signature(w)
         np.testing.assert_array_equal(aa[0], a)
         np.testing.assert_array_equal(bb[0], b)
         assert sa[0] == a.sum()
         assert sb[0] == b.sum()
+        # the run's class decoding reads the same sum fields
+        np.testing.assert_array_equal(pso.signature_class(w), (sa, sb))
 
     def test_bit_positions(self):
         a = np.zeros(9, dtype=int)
         a[0] = 1
-        w = int(pso.pack_signature(a, np.zeros(9, dtype=int))[0])
+        w = int(pack_signature(a, np.zeros(9, dtype=int))[0])
         assert w & 0x7 == 1                      # sub-bin 0 at the LSB
         assert (w >> 27) & 0x1F == 1             # side sum field
         b = np.zeros(9, dtype=int)
         b[0] = 1
-        w = int(pso.pack_signature(np.zeros(9, dtype=int), b)[0])
+        w = int(pack_signature(np.zeros(9, dtype=int), b)[0])
         assert (w >> 32) & 0x7 == 1              # side B in the high word
 
     @given(st.lists(st.integers(0, 2), min_size=9, max_size=9),
            st.lists(st.integers(0, 2), min_size=9, max_size=9))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_property(self, a, b):
-        w = pso.pack_signature(np.array(a), np.array(b))
-        aa, bb, sa, sb = pso.unpack_signature(w)
+        w = pack_signature(np.array(a), np.array(b))
+        aa, bb, sa, sb = unpack_signature(w)
         assert list(aa[0]) == a and list(bb[0]) == b
 
 
@@ -130,7 +143,7 @@ class TestPipeline:
                 assert e["coarse"] == (s + 4) // 3
                 assert e["emit_subbin"] == s + pso.PIPELINE_DEPTH_SUBBINS
                 assert e["sum_a"] == wa.sum() and e["sum_b"] == wb.sum()
-                aa, bb, _, _ = pso.unpack_signature(e["signature"])
+                aa, bb, _, _ = unpack_signature(e["signature"])
                 np.testing.assert_array_equal(aa[0], wa)
                 np.testing.assert_array_equal(bb[0], wb)
 
@@ -152,8 +165,8 @@ class TestPipeline:
             for e, (s, wa, wb) in zip(ev, ref):
                 assert e["alignment"] == s
                 assert e["sum_a"] == wa.sum() and e["sum_b"] == wb.sum()
-                assert e["signature"] == pso.pack_signature(wa, wb)[0]
-                aa, bb, sa, sb = pso.unpack_signature(e["signature"])
+                assert e["signature"] == pack_signature(wa, wb)[0]
+                aa, bb, sa, sb = unpack_signature(e["signature"])
                 np.testing.assert_array_equal(aa[0], np.minimum(wa, 7))
                 np.testing.assert_array_equal(bb[0], np.minimum(wb, 7))
                 assert (sa[0], sb[0]) == (min(wa.sum(), 31), min(wb.sum(), 31))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -298,7 +299,7 @@ class TestRollingVariance:
 
     def test_squeezing_contrast_grows_with_subtraction(self):
         m00 = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, eta1=0.55, eta2=0.50)
-        m11 = m00.with_signature(1, 1)
+        m11 = replace(m00, n_sub=1, m_sub=1)
         d00 = self._make(fc.lossy_subtracted_state(m00, 6), 8000, seed=7)
         d11 = self._make(fc.lossy_subtracted_state(m11, 6), 8000, seed=8)
         _, v00 = tg.rolling_variance(d00, window=500)
