@@ -38,16 +38,18 @@ class CalibrationResult:
 
 
 def cross_correlate(det_tags, crossing_tags, max_lag: int = MAX_LAG):
-    """Counts of (crossing - detector) lags within +/-max_lag."""
-    det = np.sort(np.asarray(det_tags, dtype=np.int64))
+    """Counts of (crossing - detector) lags in +/-max_lag, per distinct tag."""
+    det = np.asarray(det_tags, dtype=np.int64)
     cross = np.sort(np.asarray(crossing_tags, dtype=np.int64))
+    cross = cross[np.diff(cross, prepend=cross[:1] - 1) > 0]
     lags = np.arange(-max_lag, max_lag + 1)
-    counts = np.zeros(lags.size, dtype=np.int64)
     lo = np.searchsorted(cross, det - max_lag)
-    hi = np.searchsorted(cross, det + max_lag + 1)
-    for d, a, b in zip(det, lo, hi):
-        counts[cross[a:b] - d + max_lag] += 1
-    return lags, counts
+    n = np.searchsorted(cross, det + max_lag + 1) - lo
+    # pair j < n[i] of detector tag i reads crossing tag lo[i] + j
+    owner = np.repeat(np.arange(det.size), n)
+    at = lo[owner] + np.arange(owner.size) - (np.cumsum(n) - n)[owner]
+    return lags, np.bincount(cross[at] - det[owner] + max_lag,
+                             minlength=lags.size)
 
 
 def analyze_correlation(lags, counts):

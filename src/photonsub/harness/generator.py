@@ -10,6 +10,13 @@ servers at the same relative shift.  Dark heralds leave the background in
 place.  All randomness flows from counter-based Philox streams keyed by
 (master seed, stream id, chunk index), so streams are bit-reproducible and
 chunk-order independent.
+
+Window pipeline: `fill_epoch` makes and ingests WINDOW samples at a time in
+buffers it keeps for the epoch.  Each normal stream fills two buffers in
+turn, a window ahead on its own `ahead` thread: window k + 2 reuses window
+k's buffer, since `ahead` submits it only once the caller has asked for
+window k + 1.  `_mix` forms the pair in place, tables are read as slices,
+and codes are rounded and clipped in float into one int16 buffer.
 """
 
 from __future__ import annotations
@@ -51,16 +58,13 @@ _STREAM_DRAWS = 15
 _STREAM_VACUUM_A = 16
 _STREAM_VACUUM_B = 17
 _STREAM_CAL = 18
+_Z_TAIL = 1024      # normals a stream keeps: more than any delay difference
 
 
-def periodic(table, lo: int, hi: int) -> np.ndarray:
-    """table[t % len(table)] for t in [lo, hi), copied from contiguous
-    slices instead of gathered."""
-    n, out = table.size, np.empty(hi - lo, table.dtype)
-    for t0 in range(lo - lo % n, hi, n):    # one slice per period touched
-        a, b = max(lo, t0), min(hi, t0 + n)
-        out[a - lo:b - lo] = table[a - t0:b - t0]
-    return out
+def tiled(table, window: int):
+    """Reader of table[t % len(table)] for t in [lo, lo + n <= window)."""
+    period, data = len(table), np.resize(table, len(table) + window)
+    return lambda lo, n: data[lo % period:lo % period + n]
 
 
 def _rng(seed, stream, counter=0) -> np.random.Generator:
@@ -98,10 +102,9 @@ class StreamGenerator:
     def __init__(self, config):
         self.config = config.validate()
         lam = config.model(0, 0).effective_squeezing
-        self._lam = lam
-        self._nbar = lam * lam / (1.0 - lam * lam)
-        self._sig_a = np.sqrt(0.5 + config.eta1 * self._nbar)
-        self._sig_b = np.sqrt(0.5 + config.eta2 * self._nbar)
+        nbar = lam * lam / (1.0 - lam * lam)
+        self._sig_a = np.sqrt(0.5 + config.eta1 * nbar)
+        self._sig_b = np.sqrt(0.5 + config.eta2 * nbar)
         self._cov_amp = (np.sqrt(config.eta1 * config.eta2) * lam
                          / (1.0 - lam * lam))
         self._class_table = self._build_class_table()
@@ -110,11 +113,15 @@ class StreamGenerator:
         tau = np.arange(np.lcm(DRIVE_A.period_samples, DRIVE_B.period_samples))
         th1 = DRIVE_A.evaluate(tau + config.true_delay_a)[0]
         th2 = DRIVE_B.evaluate(tau + config.true_delay_b)[0]
-        self._rho_c = -self._cov_amp * np.cos(th1 + th2) / (
-            self._sig_a * self._sig_b)
-        self._rho_c_perp = np.sqrt(1.0 - self._rho_c ** 2)
+        rho = -self._cov_amp * np.cos(th1 + th2) / (self._sig_a * self._sig_b)
+        # one period plus the longest read: a mix window, or a sample window
+        span = WINDOW + abs(config.true_delay_a - config.true_delay_b)
+        self._rho_c = tiled(rho, span)
+        self._rho_c_perp = tiled(np.sqrt(1.0 - rho ** 2), span)
+        self._drive_codes = [tiled(d.period_table[1].astype(np.int16), WINDOW)
+                             for d in (DRIVE_A, DRIVE_B)]
         self._samplers: dict = {}
-        self._z_state: dict = {}    # stream -> (chunk, rng, start, normals)
+        self._z_state: dict = {}    # stream -> (chunk, rng, drawn, tail)
 
     # ------------------------------------------------------------------
     def _build_class_table(self):
@@ -150,8 +157,7 @@ class StreamGenerator:
         classes, weights = self._class_table
         pick = _rng(cfg.seed, _STREAM_CLASSES, lo)
         idx = pick.choice(len(classes), size=coarse.size, p=weights)
-        cls = np.array(classes, dtype=np.int64)[idx] if coarse.size else \
-            np.zeros((0, 2), dtype=np.int64)
+        cls = np.array(classes, dtype=np.int64)[idx]
         dark = pick.random(coarse.size) < DARK_HERALD_FRACTION
         plan = HeraldPlan(coarse=coarse, cls_n=cls[:, 0], cls_m=cls[:, 1],
                           dark=dark)
@@ -171,8 +177,7 @@ class StreamGenerator:
         """
         h = plan.coarse.size
         base = herald_subbins(plan.coarse)
-        empty = np.zeros(0, dtype=np.int64)
-        parts = [(empty, empty, empty)]
+        parts = [(np.zeros(0, dtype=np.int64),) * 3]
         for side, counts in ((0, plan.cls_n), (1, plan.cls_m)):
             rep = np.repeat(np.arange(h), counts)
             if rep.size == 0:
@@ -194,19 +199,14 @@ class StreamGenerator:
         det_key = plan.detector_sides * TREE_DETECTORS + plan.detector_tree_idx
         for key in np.unique(det_key):
             sel = np.nonzero(det_key == key)[0]
+            sel = sel[np.argsort(coarse[sel], kind="stable")]
             tags = coarse[sel]
-            order = np.argsort(tags, kind="stable")
-            tags = tags[order]
             if tags.size < 2 or np.diff(tags).min() >= DEAD_TIME_BINS:
                 continue
-            alive = np.ones(sel.size, dtype=bool)
             last = -(DEAD_TIME_BINS + 1)
-            for i, t in enumerate(tags):
-                if t - last < DEAD_TIME_BINS:
-                    alive[i] = False
-                else:
-                    last = t
-            keep[sel[order]] = alive
+            for i, t in zip(sel.tolist(), tags.tolist()):
+                keep[i] = t - last >= DEAD_TIME_BINS
+                last = t if keep[i] else last
         plan.detector_subbins = plan.detector_subbins[keep]
         plan.detector_sides = plan.detector_sides[keep]
         plan.detector_tree_idx = plan.detector_tree_idx[keep]
@@ -215,8 +215,7 @@ class StreamGenerator:
     def heralded_draws(self, plan: HeraldPlan, stream_key: int = 0):
         """Joint (x1, x2) per non-dark herald at the sample-time phases."""
         cfg = self.config
-        x1 = np.zeros(plan.coarse.size)
-        x2 = np.zeros(plan.coarse.size)
+        x1, x2 = np.zeros((2, plan.coarse.size))
         th1 = DRIVE_A.evaluate(plan.coarse + cfg.true_delay_a)[0]
         th2 = DRIVE_B.evaluate(plan.coarse + cfg.true_delay_b)[0]
         rng = _rng(cfg.seed, _STREAM_DRAWS, stream_key)
@@ -227,60 +226,45 @@ class StreamGenerator:
                    & ~plan.dark)
             if not np.any(sel):
                 continue
-            sampler = self.class_sampler(cls)
-            a, b = sampler.sample_batch(th1[sel], th2[sel], rng)
-            x1[sel] = a
-            x2[sel] = b
+            x1[sel], x2[sel] = self.class_sampler(cls).sample_batch(
+                th1[sel], th2[sel], rng)
         return x1, x2
 
     # ------------------------------------------------------------------
-    def _z_stream(self, stream: int, tau_lo: int, tau_hi: int) -> np.ndarray:
-        """Chunk-keyed standard normals over mode-time indices; negative
-        indices (pre-run tail shorter than a delay) stay reproducible."""
-        out = np.empty(tau_hi - tau_lo)
-        for c in range(tau_lo // CHUNK, (tau_hi - 1) // CHUNK + 1):
-            a0 = max(tau_lo, c * CHUNK)
-            a1 = min(tau_hi, (c + 1) * CHUNK)
-            out[a0 - tau_lo:a1 - tau_lo] = self._chunk_normals(
-                stream, c, a0 - c * CHUNK, a1 - c * CHUNK)
+    def _z_stream(self, stream: int, tau_lo: int, out) -> np.ndarray:
+        """Fill `out` with the chunk-keyed standard normals of mode times
+        [tau_lo, tau_lo + out.size), negative ones too, and return it.  A
+        chunk's generator cannot seek (a normal takes a variable number of
+        raw draws), but drawing in pieces gives the same values as one call:
+        each stream keeps its generator, count drawn and last _Z_TAIL normals,
+        so windows overlapping by the delay difference draw each once."""
+        if out.size == 0:
+            return out
+        for t0 in range(tau_lo - tau_lo % CHUNK, tau_lo + out.size, CHUNK):
+            i0 = max(tau_lo - t0, 0)        # chunk t0 // CHUNK from i0 on
+            piece = out[t0 + i0 - tau_lo:t0 + CHUNK - tau_lo]
+            chunk, rng, drawn, tail = self._z_state.get(stream, (None,) * 4)
+            if chunk != t0 or i0 < drawn - tail.size:
+                chunk, drawn, tail = t0, 0, np.zeros(0)
+                rng = _rng(self.config.seed, stream, t0 // CHUNK + (1 << 32))
+            while drawn < i0:   # skip ahead through `out`, before `piece`
+                drawn += rng.standard_normal(out=out[:i0 - drawn]).size
+            k = min(drawn - i0, piece.size)     # normals the tail holds
+            piece[:k] = tail[tail.size - (drawn - i0):][:k]
+            if k < piece.size:
+                rng.standard_normal(out=piece[k:])
+                drawn, tail = i0 + piece.size, piece[-_Z_TAIL:].copy()
+            self._z_state[stream] = (chunk, rng, drawn, tail)
         return out
 
-    def _chunk_normals(self, stream: int, c: int, i0: int, i1: int):
-        """Normals [i0, i1) of chunk c, drawn in order from the chunk's
-        generator: a normal takes a variable number of raw draws, so the
-        stream cannot seek, but drawing it in pieces gives the same values
-        as one call.  Each stream keeps its generator and the normals from
-        its last i0 on, so consecutive windows, which overlap by the delay
-        difference, draw each normal once."""
-        chunk, rng, start, block = self._z_state.get(stream, (None,) * 4)
-        if chunk != c or i0 < start:
-            chunk, start, block = c, 0, np.zeros(0)
-            rng = _rng(self.config.seed, stream, c + (1 << 32))
-        drawn = start + block.size
-        for lo in range(drawn, i0, WINDOW):     # skip ahead, keeping nothing
-            rng.standard_normal(min(WINDOW, i0 - lo))
-        block = np.concatenate([block[i0 - start:], rng.standard_normal(
-            max(i1 - max(drawn, i0), 0))])
-        self._z_state[stream] = (chunk, rng, i0, block)
-        return block[:i1 - i0]
-
-    def _mix(self, tau_lo: int, z1, z2):
-        """(sig_a z1, sig_b (rho z1 + rho_perp z2)) from the two streams'
-        normals from mode time tau_lo on, in place where it can be: fresh
-        window-sized temporaries cost page faults on the ingesting thread."""
-        tau_hi = tau_lo + z1.size
-        x_b = periodic(self._rho_c, tau_lo, tau_hi)
-        x_b *= z1
-        t = periodic(self._rho_c_perp, tau_lo, tau_hi)
-        t *= z2
-        x_b += t
+    def _mix(self, tau_lo: int, z1, z2, x_b):
+        """The pair (sig_a z1, sig_b (rho z1 + rho_perp z2)) over mode times
+        from tau_lo on, written over z1 and into x_b; z2 is scratch."""
+        np.multiply(self._rho_c(tau_lo, z1.size), z1, out=x_b)
+        z2 *= self._rho_c_perp(tau_lo, z1.size)
+        x_b += z2
         x_b *= self._sig_b
-        return self._sig_a * z1, x_b
-
-    def to_codes(self, x) -> np.ndarray:
-        code = np.asarray(x) * self.config.adc_scale
-        code = np.rint(code, out=code).astype(np.int64)
-        return np.clip(code, ADC_MIN, ADC_MAX, out=code)
+        return np.multiply(z1, self._sig_a, out=z1), x_b
 
     # ------------------------------------------------------------------
     def fill_epoch(self, server_a, server_b, epoch: int, half: int,
@@ -302,21 +286,22 @@ class StreamGenerator:
         # heralded overrides prepared once per epoch; per channel: its
         # offset into the pair, the sorted sample positions of the non-dark
         # heralds and their draws, its drive and its server
-        hx1 = hx2 = np.zeros(0)
-        if plan.coarse.size:
-            hx1, hx2 = self.heralded_draws(plan, stream_key=epoch)
         lit = ~plan.dark
         channels = [
             (d_hi - delay, plan.coarse[lit] + delay, x[lit], drive, server)
-            for delay, x, drive, server in (
-                (cfg.true_delay_a, hx1, DRIVE_A, server_a),
-                (cfg.true_delay_b, hx2, DRIVE_B, server_b))]
+            for delay, x, drive, server in zip(
+                (cfg.true_delay_a, cfg.true_delay_b),
+                self.heralded_draws(plan, stream_key=epoch),
+                self._drive_codes, (server_a, server_b))]
         starts = range(lo, hi, WINDOW)
+        x_b, codes = np.empty(WINDOW + d_hi - d_lo), np.empty(WINDOW, np.int16)
 
-        def normals(stream):
-            # a stream's windows, drawn a window ahead on one thread
-            return closing(ahead(lambda w: self._z_stream(
-                stream, w - d_hi, min(w + WINDOW, hi) - d_lo), starts))
+        def normals(stream):    # window k fills buffer k % 2 (see above)
+            bufs = np.empty((2, x_b.size))
+            return closing(ahead(lambda k: self._z_stream(
+                stream, starts[k] - d_hi, bufs[k % 2, :x_b.size - WINDOW
+                                               + min(WINDOW, hi - starts[k])]),
+                range(len(starts))))
 
         with normals(_STREAM_Z1) as z1s, normals(_STREAM_Z2) as z2s:
             for w_lo, z1, z2 in zip(starts, z1s, z2s):
@@ -328,14 +313,18 @@ class StreamGenerator:
                               for key in (_STREAM_VACUUM_A, _STREAM_VACUUM_B)]
                 n_shut = min(w_hi, cfg.shutter_bins) - w_lo
                 for x, vac, (shift, pos, vals, drive, server) in zip(
-                        self._mix(w_lo - d_hi, z1, z2), vacuum, channels):
+                        self._mix(w_lo - d_hi, z1, z2, x_b[:z1.size]),
+                        vacuum, channels):
                     x = x[shift:][:w_hi - w_lo]
                     if n_shut > 0:
-                        x[:n_shut] = np.sqrt(0.5) * vac.standard_normal(n_shut)
+                        vac.standard_normal(out=x[:n_shut])
+                        x[:n_shut] *= np.sqrt(0.5)
                     i0, i1 = np.searchsorted(pos, (w_lo, w_hi))
                     x[pos[i0:i1] - w_lo] = vals[i0:i1]
-                    server.ingest_samples(self.to_codes(x), periodic(
-                        drive.period_table[1], w_lo, w_hi))
+                    x *= cfg.adc_scale
+                    np.clip(np.rint(x, out=x), ADC_MIN, ADC_MAX, out=x)
+                    codes[:x.size] = x
+                    server.ingest_samples(codes[:x.size], drive(w_lo, x.size))
 
     # ------------------------------------------------------------------
     # thermal delay calibration streams
@@ -367,11 +356,12 @@ class StreamGenerator:
         n_noise = rng.poisson(_NOISE_CROSSING_RATE * half)
         noise_pos = rng.integers(0, half, size=n_noise)
         a[noise_pos] = THERMAL_THRESHOLD_CODE + 1000
-        drive = DRIVE_A if side == 0 else DRIVE_B
+        codes = np.empty(WINDOW, np.int16)
         for lo in range(0, half, WINDOW):
             hi = min(lo + WINDOW, half)
-            server.ingest_samples(np.clip(a[lo:hi], ADC_MIN, ADC_MAX),
-                                  periodic(drive.period_table[1], lo, hi))
+            server.ingest_samples(np.clip(a[lo:hi], ADC_MIN, ADC_MAX,
+                                          out=codes[:hi - lo]),
+                                  self._drive_codes[side](lo, hi - lo))
         # detector tags: pulse onsets plus a few dark counts
         n_dark = rng.poisson(_DARK_TAG_FRACTION * onsets.size)
         dark_tags = rng.integers(0, half, size=n_dark)

@@ -90,6 +90,15 @@ class RingBuffer:
     def read(self, timetags) -> np.ndarray:
         return self.data[self.physical_index(timetags)]
 
+    def read_range(self, lo: int, hi: int) -> np.ndarray:
+        """read(np.arange(lo, hi)), gathered as the whole pages it spans."""
+        if lo < hi and (lo < 0 or hi > self.capacity):
+            raise IndexError("timetag outside buffer capacity")
+        p0, off = divmod(lo, PAGE_WORDS)
+        pages = self.page_map[p0:-(-hi // PAGE_WORDS)]  # the pages spanned
+        return self.data.reshape(self.pages, PAGE_WORDS)[pages].ravel()[
+            off:off + hi - lo]
+
     def reset(self, start_cursor: int = 0):
         """Start-pulse handshake: zero the clock, optionally with the
         comparator-dependent residual offset as the initial cursor.  Fresh

@@ -264,16 +264,14 @@ class HomodyneServer:
         with self._lock:
             thr = self.config.threshold
             sign = self.config.slope_sign
+        s = 1 if sign >= 0 else -1      # falling: rising when negated
         hits = [np.zeros(0, dtype=np.int64)]
         # blocks overlap by one word: a crossing needs its previous sample
         for lo in range(start, end - 1, SCAN_BLOCK_WORDS):
-            a, _ = unpack_words(self.buffer.read(
-                np.arange(lo, min(lo + SCAN_BLOCK_WORDS + 1, end))))
-            a = a.astype(np.int32)
-            if sign >= 0:
-                hit = (a[:-1] < thr) & (a[1:] >= thr)
-            else:
-                hit = (a[:-1] > thr) & (a[1:] <= thr)
+            a, _ = unpack_words(self.buffer.read_range(
+                lo, min(lo + SCAN_BLOCK_WORDS + 1, end)))
+            a = s * a.astype(np.int32)
+            hit = (a[:-1] < s * thr) & (a[1:] >= s * thr)
             hits.append(lo + 1 + np.nonzero(hit)[0])
         self._require_unmoved(mark, what)
         return np.concatenate(hits).astype(WORD_DTYPE)

@@ -31,8 +31,8 @@ def sample_view(words) -> np.ndarray:
 
 def pack_words(adc_a, adc_b) -> np.ndarray:
     """Pack homodyne (a) and phase-drive (b) samples into 32-bit words."""
-    a = np.asarray(adc_a, dtype=np.int64)
-    b = np.asarray(adc_b, dtype=np.int64)
+    a, b = (x if x.dtype.kind in "iu" else x.astype(np.int64)
+            for x in map(np.asarray, (adc_a, adc_b)))
     for x, name in ((a, "homodyne"), (b, "phase-drive")):
         if x.size and (x.min() < ADC_MIN or x.max() > ADC_MAX):
             raise ValueError(f"{name} sample outside the 14-bit range")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import log2, sqrt
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .fock_core import TwoModeState
 
@@ -144,6 +143,7 @@ def witness(state: TwoModeState) -> WitnessResult:
 def max_fidelity_over_lambda(eta: float, n: int, lam_tol: float = 1e-6):
     """(max_lambda F_{n,n}(lambda, eta), argmax) by grid plus golden-section
     refinement."""
+    from scipy.optimize import minimize_scalar
     grid = np.linspace(1e-4, 0.999, 2000)
     vals = fock11_fidelity_closed(grid, eta, n)
     i = int(vals.argmax())
@@ -171,6 +171,7 @@ def minimal_transmissivity(n: int, threshold: float = WITNESS_THRESHOLD_RANK1,
 def witness_lambda_crossings(eta: float = 1.0, n: int = 1,
                              threshold: float = WITNESS_THRESHOLD_RANK1):
     """Both lambda roots of F_{n,n}(lambda, eta) = threshold."""
+    from scipy.optimize import brentq
     fmax, lam_star = max_fidelity_over_lambda(eta, n)
     if fmax <= threshold:
         raise ValueError("fidelity never exceeds the threshold at this eta")

@@ -16,9 +16,10 @@ from photonsub import harness as hx
 from photonsub import parallel
 from photonsub.harness.calibration import MAX_LAG
 from photonsub.harness.generator import (
-    _STREAM_Z1, _STREAM_Z2, CHUNK, DRIVE_A, DRIVE_B, PIPELINE_COARSE_OFFSET,
-    THERMAL_PULSE_PERIOD, StreamGenerator, _rng, periodic)
-from photonsub.hds import DEFAULT_PAGES
+    _STREAM_VACUUM_A, _STREAM_VACUUM_B, _STREAM_Z1, _STREAM_Z2, CHUNK,
+    DRIVE_A, DRIVE_B, PIPELINE_COARSE_OFFSET, THERMAL_PULSE_PERIOD, WINDOW,
+    StreamGenerator, _rng, tiled)
+from photonsub.hds import ADC_MAX, ADC_MIN, DEFAULT_PAGES, HomodyneServer
 from photonsub.pso import coincidence_pipeline
 import golden_bundles
 from oracles import quadrature_operator
@@ -40,8 +41,57 @@ def background_pair(gen, tau_lo, tau_hi):
     """The generator's correlated no-subtraction pair over mode times
     [tau_lo, tau_hi): server A sees it at tau + true_delay_a, B at
     tau + true_delay_b."""
-    return gen._mix(tau_lo, gen._z_stream(_STREAM_Z1, tau_lo, tau_hi),
-                    gen._z_stream(_STREAM_Z2, tau_lo, tau_hi))
+    z1, z2 = (gen._z_stream(s, tau_lo, np.empty(tau_hi - tau_lo))
+              for s in (_STREAM_Z1, _STREAM_Z2))
+    x_b = np.empty(z1.size)
+    for a in range(0, z1.size, WINDOW):     # _mix reads a window at a time
+        gen._mix(tau_lo + a, *(x[a:a + WINDOW] for x in (z1, z2, x_b)))
+    return z1, x_b
+
+
+def whole_chunk_normals(seed, stream, tau_lo, tau_hi):
+    """Normals of mode times [tau_lo, tau_hi) from whole-chunk draws."""
+    c0 = tau_lo // CHUNK
+    z = np.concatenate([
+        _rng(seed, stream, c + (1 << 32)).standard_normal(CHUNK)
+        for c in range(c0, (tau_hi - 1) // CHUNK + 1)])
+    return z[tau_lo - c0 * CHUNK:tau_hi - c0 * CHUNK].copy()
+
+
+def reference_epoch_words(gen, lo, hi, plan, epoch):
+    """Both servers' words over [lo, hi), built from whole-chunk normals,
+    modulo-gathered tables, the shutter vacuum and the herald overrides."""
+    cfg = gen.config
+    t = np.arange(lo, hi)
+    tau = np.arange(np.lcm(DRIVE_A.period_samples, DRIVE_B.period_samples))
+    th1 = DRIVE_A.evaluate(tau + cfg.true_delay_a)[0]
+    th2 = DRIVE_B.evaluate(tau + cfg.true_delay_b)[0]
+    rho = -gen._cov_amp * np.cos(th1 + th2) / (gen._sig_a * gen._sig_b)
+    rho_perp = np.sqrt(1.0 - rho ** 2)
+    d_lo, d_hi = sorted((cfg.true_delay_a, cfg.true_delay_b))
+    z1, z2 = (whole_chunk_normals(cfg.seed, s, lo - d_hi, hi - d_lo)
+              for s in (_STREAM_Z1, _STREAM_Z2))
+    ta = t - cfg.true_delay_a - (lo - d_hi)     # index into z1, z2
+    tb = t - cfg.true_delay_b - (lo - d_hi)
+    pb = (t - cfg.true_delay_b) % tau.size
+    xs = [z1[ta] * gen._sig_a,
+          (rho[pb] * z1[tb] + rho_perp[pb] * z2[tb]) * gen._sig_b]
+    hx = gen.heralded_draws(plan, stream_key=epoch)
+    lit = ~plan.dark
+    out = []
+    for x, key, delay, vals, drive in zip(
+            xs, (_STREAM_VACUUM_A, _STREAM_VACUUM_B),
+            (cfg.true_delay_a, cfg.true_delay_b), hx, (DRIVE_A, DRIVE_B)):
+        for s in range(lo, min(hi, cfg.shutter_bins), CHUNK):
+            n = min(s + CHUNK, hi, cfg.shutter_bins) - s
+            x[s - lo:s - lo + n] = np.sqrt(0.5) * _rng(
+                cfg.seed, key, s).standard_normal(n)
+        x[plan.coarse[lit] + delay - lo] = vals[lit]
+        codes = np.clip(np.rint(cfg.adc_scale * x), ADC_MIN, ADC_MAX)
+        drive_codes = drive.period_table[1][t % drive.period_samples]
+        out.append(((codes.astype(np.int64) & 0xFFFF) << 16
+                    | (drive_codes & 0xFFFF)).astype(np.uint32))
+    return out
 
 
 class TestConfig:
@@ -221,7 +271,7 @@ class TestGeneratorStatistics:
                                         (37, 338), (-1_000_003, -999_000)])
     def test_periodic_slices_equal_the_modulo_gather(self, lo, hi):
         table = np.random.default_rng(2).random(100)
-        np.testing.assert_array_equal(periodic(table, lo, hi),
+        np.testing.assert_array_equal(tiled(table, 1003)(lo, hi - lo),
                                       table[np.arange(lo, hi) % 100])
 
     def test_normals_drawn_in_pieces_equal_whole_chunk_draws(self):
@@ -234,9 +284,34 @@ class TestGeneratorStatistics:
         for lo, hi in ((-60, 1000), (900, 300_000), (299_950, 300_010),
                        (10, 20), (2_000_000, 2_000_100),
                        (CHUNK - 70, CHUNK + 5000), (CHUNK - 100, CHUNK - 10),
-                       (-CHUNK + 5, 7)):
-            np.testing.assert_array_equal(gen._z_stream(13, lo, hi),
+                       (-CHUNK + 5, 7), (-3, -3), (11, 11)):
+            np.testing.assert_array_equal(gen._z_stream(13, lo,
+                                                        np.empty(hi - lo)),
                                           whole[CHUNK + lo:CHUNK + hi])
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_window_pipeline_equals_whole_epoch_reference(self, n_workers,
+                                                          monkeypatch):
+        # a half of 2,048,000 words is not a multiple of WINDOW, and the
+        # CHUNK edge at 2^22 falls inside a window of epoch 2; with two
+        # workers each normal stream fills its two buffers on its own
+        # thread, so a buffer handed out again too early shows up here
+        monkeypatch.setattr(parallel, "workers", lambda: n_workers)
+        cfg = SMALL.with_overrides(pages=4000)
+        gen = StreamGenerator(cfg)
+        servers = [HomodyneServer(pages=cfg.pages) for _ in range(2)]
+        half = servers[0].buffer.half
+        assert half % WINDOW and 2 * half < CHUNK < 3 * half
+        for epoch in range(3):
+            lo, hi = epoch * half, (epoch + 1) * half
+            plan = gen.plan_heralds(max(lo, cfg.shutter_bins + 100) + 100,
+                                    hi - 100)
+            assert plan.coarse.size > 1000
+            gen.fill_epoch(*servers, epoch, half, plan)
+            expect = reference_epoch_words(gen, lo, hi, plan, epoch)
+            for server, words in zip(servers, expect):
+                got = server.buffer.read(np.arange(lo, hi) % (2 * half))
+                np.testing.assert_array_equal(got, words)
 
     def test_heralded_sample_statistics_match_state(self):
         # chi-square of heralded x1 draws against the (1,1) state marginal
@@ -321,6 +396,34 @@ class TestCalibration:
     def test_no_pulses_fails(self):
         with pytest.raises(hx.CalibrationFailedError):
             hx.thermal_calibration([], [])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cross_correlate_equals_the_per_tag_loop(self, seed):
+        # duplicate detector and crossing tags, lags exactly at +/-max_lag,
+        # unsorted and empty inputs
+        rng = np.random.default_rng(seed)
+        max_lag = int(rng.integers(0, 40))
+        det = rng.integers(0, 2000, int(rng.integers(0, 400)))
+        det = np.concatenate([det, det[:20], [500, 1500]])
+        cross = rng.integers(0, 2000, int(rng.integers(0, 400)))
+        cross = np.concatenate([cross, cross[:10], [500 - max_lag,
+                                                    1500 + max_lag]])
+        for d, c in ((det, cross), (det, cross[:0]), (det[:0], cross),
+                     (det[:0], cross[:0])):
+            lags, counts = hx.cross_correlate(d, c, max_lag=max_lag)
+            expect = np.zeros(2 * max_lag + 1, dtype=np.int64)
+            cs = np.sort(c)
+            for tag in d:       # the per-tag loop
+                near = cs[np.searchsorted(cs, tag - max_lag):np.searchsorted(
+                    cs, tag + max_lag + 1)]
+                expect[near - tag + max_lag] += 1
+            np.testing.assert_array_equal(lags,
+                                          np.arange(-max_lag, max_lag + 1))
+            assert counts.dtype == np.int64
+            np.testing.assert_array_equal(counts, expect)
+        # the planted pairs put counts at both ends of the lag range
+        counts = hx.cross_correlate(det, cross, max_lag=max_lag)[1]
+        assert counts[0] >= 1 and counts[-1] >= 1
 
     def test_correlation_analysis_shapes(self):
         det = np.array([1000, 2000, 3000])

@@ -65,6 +65,28 @@ class TestWords:
         with pytest.raises(ValueError):
             hds.pack_words([8192], [0])
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.float64])
+    def test_integer_and_float_input_pack_alike(self, dtype):
+        # integer input is packed as it is, integer-valued floats through
+        # int64; either way the words and the range check are the same
+        rng = np.random.default_rng(4)
+        a = rng.integers(-8192, 8192, 5000)
+        b = rng.integers(-8192, 8192, 5000)
+        np.testing.assert_array_equal(
+            hds.pack_words(a.astype(dtype), b.astype(dtype)),
+            hds.pack_words(a.tolist(), b.tolist()))
+        for bad in (8192, -8193):
+            with pytest.raises(ValueError, match="homodyne"):
+                hds.pack_words(np.array([0, bad], dtype), np.zeros(2, dtype))
+            with pytest.raises(ValueError, match="phase-drive"):
+                hds.pack_words(np.zeros(2, dtype), np.array([bad, 0], dtype))
+
+    def test_non_integer_input_converts_to_int64(self):
+        x = np.array([-8192.9, -1.5, 0.7, 8191.9])
+        np.testing.assert_array_equal(
+            hds.pack_words(x, x[::-1]),
+            hds.pack_words(x.astype(np.int64), x[::-1].astype(np.int64)))
+
 
 class TestRingBuffer:
     def test_spec_address_arithmetic(self):
@@ -109,6 +131,28 @@ class TestRingBuffer:
             np.testing.assert_array_equal(buf.data, ref)
             assert buf.write_cursor == t
         assert buf.overflow_number == 1
+
+    @pytest.mark.parametrize("cursor", [0, 777])
+    def test_read_range_equals_read_of_arange(self, cursor):
+        buf = hds.RingBuffer(pages=128, page_map_seed=5)
+        buf.reset(start_cursor=cursor)
+        rng = np.random.default_rng(cursor)
+        buf.write(rng.integers(0, 2 ** 32, buf.capacity - cursor,
+                               dtype=np.uint64).astype(np.uint32))
+        cap, half, block = buf.capacity, buf.half, SCAN_BLOCK_WORDS
+        assert half % block == 0 and cap > 2 * block
+        for lo, hi in ((0, 1), (0, 1024), (1023, 1025), (1000, 5000),
+                       (half - 3, half + 3), (half - block, half + 1),
+                       (block - 1, 2 * block + 1), (3 * block, 4 * block + 1),
+                       (cap - 1024, cap), (cap - 5, cap), (0, cap),
+                       (cursor, cursor + 2048), (10, 10), (cap, cap)):
+            np.testing.assert_array_equal(buf.read_range(lo, hi),
+                                          buf.read(np.arange(lo, hi)))
+        for lo, hi in ((-1, 10), (cap - 10, cap + 1), (cap, cap + 1)):
+            with pytest.raises(IndexError):
+                buf.read_range(lo, hi)
+            with pytest.raises(IndexError):
+                buf.physical_index(np.arange(lo, hi))
 
     def test_overflow_mask_29_bits(self):
         buf = hds.RingBuffer(pages=2)
@@ -432,13 +476,16 @@ class TestProtocol:
         srv = make_server(pages=4, mode=mode)
         fill_first_half(srv)
         half, read = srv.buffer.half, srv.buffer.read
+        # queries read timetags, scans read ranges of them
+        name = "read" if mode == "samples" else "read_range"
+        original = getattr(srv.buffer, name)
 
-        def lapping_read(tags):
+        def lapping_read(*args):
             # the writer fills one more half between the verdict and the read
             srv.ingest(hds.pack_words(np.full(half, 77), np.zeros(half)))
-            return read(tags)
+            return original(*args)
 
-        srv.buffer.read = lapping_read
+        setattr(srv.buffer, name, lapping_read)
         status, _, payload = proto.decode_response(
             srv.handle_request(body, hds.ConnectionState()))
         assert status is proto.Status.STALE_OVERFLOW and payload.size == 0
