@@ -296,7 +296,7 @@ class StreamGenerator:
         starts = range(lo, hi, WINDOW)
         x_b, codes = np.empty(WINDOW + d_hi - d_lo), np.empty(WINDOW, np.int16)
 
-        def normals(stream):    # window k fills buffer k % 2 (see above)
+        def normals(stream):    # window k fills buffer k % 2 (module doc)
             bufs = np.empty((2, x_b.size))
             return closing(ahead(lambda k: self._z_stream(
                 stream, starts[k] - d_hi, bufs[k % 2, :x_b.size - WINDOW
