@@ -19,7 +19,7 @@ from .harness import (ExperimentConfig, analyze_classes, build_rig,
                       run_acquisition, run_delay_calibration, run_experiment,
                       throughput_benchmark)
 from .harness.config import read_json
-from .pso import read_class
+from .pso import class_key, parse_class_key, read_class
 
 
 def _read(load, path):
@@ -52,12 +52,10 @@ def cmd_acquire(args):
     cfg = _load_cfg(args.config)
     rig = build_rig(cfg)
     delays, _ = run_delay_calibration(rig)
-    engine, scales = run_acquisition(rig, delays, args.out)
-    meta = engine.writer.finalize({"delays": list(delays),
-                                   "shot_noise_scale": list(scales)})
+    engine, _ = run_acquisition(rig, delays, args.out)
+    counts = {class_key(k): v for k, v in engine.writer.counts.items()}
     print(engine.report.to_text())
-    print(f"datasets in {args.out}: "
-          f"{json.dumps(meta['class_counts'], sort_keys=True)}")
+    print(f"datasets in {args.out}: {json.dumps(counts, sort_keys=True)}")
     return 0
 
 
@@ -71,12 +69,6 @@ def _shot_noise_scale(path):
     return scale
 
 
-def _pair(text):
-    """The text "n,m" as the integers (n, m)."""
-    n, m = text.split(",")
-    return int(n), int(m)
-
-
 def _limit_arg(limit):
     if limit is not None and limit < 1:
         raise ValueError("--limit must be at least 1")
@@ -85,7 +77,7 @@ def _limit_arg(limit):
 
 def cmd_reconstruct(args):
     cfg = _load_cfg(args.config)
-    cls = _read(_pair, args.cls)
+    cls = _read(parse_class_key, args.cls)
     limit = _read(_limit_arg, args.limit)
     scales = _read(_shot_noise_scale,
                    os.path.join(args.datasets, "run_meta.txt"))
@@ -108,7 +100,8 @@ def cmd_reconstruct(args):
 
 def cmd_scan_delays(args):
     cfg = _load_cfg(args.config)
-    offsets = [_read(_pair, part) for part in args.offsets.split(";")]
+    offsets = [_read(parse_class_key, part)
+               for part in args.offsets.split(";")]
     rows = delay_scan(cfg, offsets, args.out, scan_targets=args.samples)
     for r in rows:
         print(f"D({r.offset[0]},{r.offset[1]}): "

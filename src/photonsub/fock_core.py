@@ -3,7 +3,8 @@
 Builds the (lossy) conditional states produced when n and m photons are
 tapped off the two modes of a squeezed-vacuum ladder state by weak
 beamsplitters, together with the closed-form coefficients, normalizations
-and heralding probabilities.  Every closed form is checked against the
+and heralding probabilities.  The lossless state is the lossy builder at
+unit transmissivities.  Every closed form is checked against the
 test suite's brute-force beamsplitter-circuit and Kraus oracles
 (`tests/oracles.py`).
 
@@ -28,7 +29,6 @@ __all__ = [
     "TruncationWarning",
     "ZeroProbabilityError",
     "DivergenceError",
-    "CutoffTooSmallError",
     "subtraction_coefficient",
     "normalization_sq",
     "success_probability",
@@ -61,10 +61,6 @@ class ZeroProbabilityError(ValueError):
 
 class DivergenceError(ValueError):
     """Effective squeezing at or above 1: the ladder series diverges."""
-
-
-class CutoffTooSmallError(ValueError):
-    """Working cutoff leaves more squeezed-ladder tail weight than allowed."""
 
 
 @dataclass(frozen=True)
@@ -128,16 +124,6 @@ class TwoModeState:
         m = np.zeros((d, d), dtype=complex)
         m[0, 0] = 1.0
         return cls(n_c, m)
-
-    @classmethod
-    def from_pure(cls, n_c: int, amplitudes: np.ndarray,
-                  truncation_weight: float = 0.0) -> "TwoModeState":
-        v = np.asarray(amplitudes, dtype=complex).ravel()
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ZeroProbabilityError("pure state has zero norm inside the cutoff")
-        v = v / norm
-        return cls(n_c, np.outer(v, v.conj()), truncation_weight)
 
     # -- basic access ---------------------------------------------------
     @property
@@ -308,32 +294,11 @@ def _warn_truncation(discarded: float, n_c: int):
 
 
 def pure_subtracted_state(model: SubtractionModel, n_c: int) -> TwoModeState:
-    """Lossless subtracted state as a rank-1 density matrix at cutoff n_c.
-
-    Requires unit transmissivities.  The state lives on the displaced
-    ladder |k-n, k-m>; it is renormalized inside the cutoff and the
-    discarded weight is reported on the returned state.
-    """
+    """Lossless subtracted state at cutoff n_c: the lossy builder at unit
+    transmissivities, which it requires."""
     if model.eta1 != 1.0 or model.eta2 != 1.0:
         raise ValueError("pure state requires eta1 = eta2 = 1 (use the lossy builder)")
-    n, m = model.n_sub, model.m_sub
-    norm_sq = normalization_sq(model)
-    if norm_sq == 0.0:
-        raise ZeroProbabilityError(
-            f"signature ({n},{m}) has zero probability at r={model.r}, "
-            f"R=({model.R1},{model.R2})")
-    d = n_c + 1
-    amps = np.zeros(d * d)
-    kept_sq = 0.0
-    for k in _ladder_k_range(model, n_c):
-        if k - n > n_c or k - m > n_c:
-            continue
-        c = subtraction_coefficient(k, model)
-        amps[(k - n) * d + (k - m)] = c
-        kept_sq += c * c
-    discarded = max(0.0, 1.0 - kept_sq / norm_sq)
-    _warn_truncation(discarded, n_c)
-    return TwoModeState.from_pure(n_c, amps, truncation_weight=discarded)
+    return lossy_subtracted_state(model, n_c)
 
 
 def lossy_subtracted_state(model: SubtractionModel, n_c: int) -> TwoModeState:
@@ -383,4 +348,6 @@ def lossy_subtracted_state(model: SubtractionModel, n_c: int) -> TwoModeState:
     kept = float(np.trace(rho))
     discarded = max(0.0, 1.0 - kept)
     _warn_truncation(discarded, n_c)
+    if kept == 0.0:
+        raise ZeroProbabilityError(f"no state weight inside cutoff {n_c}")
     return TwoModeState(n_c, rho / kept, truncation_weight=discarded)

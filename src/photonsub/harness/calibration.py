@@ -31,11 +31,6 @@ class CalibrationResult:
     lags: np.ndarray
     counts: np.ndarray
 
-    def __post_init__(self):
-        if self.snr <= 1:
-            raise CalibrationFailedError(
-                f"cross-correlation SNR {self.snr:.2f} is not above 1")
-
 
 def cross_correlate(det_tags, crossing_tags, max_lag: int = MAX_LAG):
     """Counts of (crossing - detector) lags in +/-max_lag, per distinct tag."""

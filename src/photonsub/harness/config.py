@@ -12,8 +12,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
 
 from ..fock_core import MAX_CUTOFF, SubtractionModel
-from ..hds import DEFAULT_PAGES, PAGE_WORDS, HomodyneServer
-from ..pso import PsoRunConfig
+from ..hds import DEFAULT_PAGES, PAGE_WORDS
+from ..hds.buffer import SAMPLE_RATE_HZ
+from ..pso import PsoRunConfig, class_key, parse_class_key
 from .calibration import MAX_LAG
 from .generator import PIPELINE_COARSE_OFFSET, SIDE_CLASS_CAP
 
@@ -90,7 +91,7 @@ class ExperimentConfig:
                 (1 <= self.n_c <= MAX_CUTOFF, f"n_c outside [1, {MAX_CUTOFF}]"),
                 (2 <= self.pages <= DEFAULT_PAGES and self.pages % 2 == 0,
                  f"pages odd or outside [2, {DEFAULT_PAGES}]"),
-                (0 <= self.herald_rate_hz <= HomodyneServer.SAMPLE_RATE_HZ,
+                (0 <= self.herald_rate_hz <= SAMPLE_RATE_HZ,
                  "herald_rate_hz outside [0, the sample rate]"),
                 (1 <= self.shot_noise_samples <= self.shutter_bins
                  <= self.pages * PAGE_WORDS // 2,
@@ -148,7 +149,7 @@ def _check_type(key, value, kind):
 
 def save_config(config: ExperimentConfig, path):
     d = asdict(config)
-    d["class_targets"] = {f"{k[0]},{k[1]}": v
+    d["class_targets"] = {class_key(k): v
                           for k, v in config.class_targets.items()}
     d["seed_window"] = list(config.seed_window)
     with open(path, "w") as fh:
@@ -178,17 +179,11 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config key {unknown[0][:40]!r}")
     if isinstance(d.get("class_targets"), dict):
-        d["class_targets"] = {_class_key(k): v
-                              for k, v in d["class_targets"].items()}
+        try:
+            d["class_targets"] = {parse_class_key(k): v
+                                  for k, v in d["class_targets"].items()}
+        except ValueError as exc:
+            raise ValueError(f"class_targets key {exc}") from None
     if isinstance(d.get("seed_window"), list):
         d["seed_window"] = tuple(d["seed_window"])
     return ExperimentConfig(**d).validate()
-
-
-def _class_key(text: str):
-    try:
-        n, m = (int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"class_targets key {text[:20]!r} is not "
-                         f'"n,m"') from None
-    return n, m

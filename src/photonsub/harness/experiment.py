@@ -21,7 +21,7 @@ from ..fock_core import lossy_subtracted_state
 from ..hds import HdsClient, HomodyneServer, InProcessTransport
 from ..parallel import task_map
 from ..pso import (DatasetWriter, PsoConsole, PsoEngine, PsoRunConfig,
-                   coincidence_pipeline)
+                   class_key, coincidence_pipeline)
 from ..tomography import (ReconstructionReport, TomographyDataset,
                           reconstruct, rolling_variance)
 from .calibration import thermal_calibration
@@ -172,7 +172,8 @@ def _fidelity_table(results: dict) -> dict:
 
 
 def run_acquisition(rig: Rig, delays, run_dir, max_epochs: int = 64):
-    """Heralded acquisition until every class target fills.
+    """Heralded acquisition until every class target fills; writes the
+    dataset files and their run_meta.txt.
 
     Returns (engine, shot_noise_scales).
     """
@@ -208,6 +209,8 @@ def run_acquisition(rig: Rig, delays, run_dir, max_epochs: int = 64):
                for cls in cfg.class_targets):
             break
     engine.flush_expired()
+    engine.writer.finalize({"delays": list(delays),
+                            "shot_noise_scale": list(scales)})
     return engine, scales
 
 
@@ -218,8 +221,6 @@ def run_experiment(config: ExperimentConfig, out_dir) -> ExperimentReport:
     delays, cal = run_delay_calibration(rig)
     run_dir = os.path.join(out_dir, "datasets")
     engine, scales = run_acquisition(rig, delays, run_dir)
-    engine.writer.finalize({"delays": list(delays),
-                            "shot_noise_scale": list(scales)})
     engine.save_heralds(os.path.join(out_dir, "heralds.bin"))
 
     expected = expected_states(config)
@@ -284,7 +285,7 @@ def _write_report(out_dir, report: ExperimentReport, ledger):
         "floored_records_total": report.floored_records_total,
         "psd_repairs": report.psd_repairs,
         "conservation_ok": report.conservation_ok,
-        "class_counts": {f"{k[0]},{k[1]}": v
+        "class_counts": {class_key(k): v
                          for k, v in report.class_counts.items()},
         "calibration": [
             {"peak_delay": c.peak_delay, "snr": c.snr, "fwhm": c.fwhm_bins}

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..fock_core import lossy_subtracted_state, success_probability
-from ..hds.server import HomodyneServer
+from ..hds.buffer import SAMPLE_RATE_HZ
 from ..hds.words import ADC_MAX, ADC_MIN
 from ..homodyne_model import PhaseDrive, QuadratureSampler
 from ..parallel import ahead
@@ -151,7 +151,7 @@ class StreamGenerator:
         cfg = self.config
         rng = _rng(cfg.seed, _STREAM_HERALDS, lo)
         span = hi - lo
-        rate_per_bin = cfg.herald_rate_hz / HomodyneServer.SAMPLE_RATE_HZ
+        rate_per_bin = cfg.herald_rate_hz / SAMPLE_RATE_HZ
         n = rng.poisson(rate_per_bin * span)
         coarse = np.sort(rng.integers(lo, hi, size=n).astype(np.int64))
         classes, weights = self._class_table

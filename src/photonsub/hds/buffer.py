@@ -22,6 +22,7 @@ import numpy as np
 
 from .words import WORD_DTYPE
 
+SAMPLE_RATE_HZ = 100e6      # timetag clock: one word per 10-ns bin
 DEFAULT_PAGES = 67_500
 PAGE_BITS = 10
 PAGE_WORDS = 1 << PAGE_BITS

@@ -96,10 +96,7 @@ class HdsClient:
         reply = self.transport.request(body)
         status, _, payload = proto.decode_response(reply)
         if status is not proto.Status.OK:
-            exc = proto.STATUS_EXCEPTIONS.get(status)
-            if exc is not None:
-                raise exc(f"server returned {status.name}")
-            raise proto.ProtocolError(status, f"server returned {status.name}")
+            raise proto.status_error(status, f"server returned {status.name}")
         return payload
 
     # -- control plane ----------------------------------------------------

@@ -78,6 +78,13 @@ STATUS_EXCEPTIONS = {
 }
 
 
+def status_error(status: Status, message: str) -> ProtocolError:
+    """The error a non-OK status raises: its own class where it has one,
+    else a ProtocolError carrying the status."""
+    exc = STATUS_EXCEPTIONS.get(status)
+    return exc(message) if exc is not None else ProtocolError(status, message)
+
+
 def encode_query(overflow: int, timetags,
                  with_keyword: bool = True) -> np.ndarray:
     tags = np.asarray(timetags, dtype=WORD_DTYPE).ravel()

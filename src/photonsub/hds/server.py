@@ -17,7 +17,6 @@ import contextlib
 import socket
 import socketserver
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ class ServerConfig:
     threshold: int = 2000
     slope_sign: int = +1          # +1 rising, -1 falling
     mode: str = "samples"         # "samples" | "threshold"
-    pace_realtime: bool = False   # sleep to approximate the 100-MHz rate
 
 
 @dataclass
@@ -72,8 +70,6 @@ class ConnectionState:
 
 
 class HomodyneServer:
-    SAMPLE_RATE_HZ = 100e6
-
     def __init__(self, pages: int = DEFAULT_PAGES, page_map_seed: int = 0,
                  config: ServerConfig | None = None):
         self.buffer = RingBuffer(pages=pages, page_map_seed=page_map_seed)
@@ -106,8 +102,6 @@ class HomodyneServer:
                            or samples.max() > ADC_MAX):
             self._adc_out_of_range = True
         self.buffer.write(words)
-        if self.config.pace_realtime:
-            time.sleep(words.size / self.SAMPLE_RATE_HZ)
 
     def ingest_samples(self, adc_a, adc_b):
         self.ingest(pack_words(adc_a, adc_b))
@@ -182,9 +176,7 @@ class HomodyneServer:
         mark = self._half_mark()
         verdict = self._classify(overflow, tags)
         if verdict is not proto.Status.OK:
-            raise proto.STATUS_EXCEPTIONS.get(
-                verdict, lambda m="": proto.ProtocolError(verdict, m))(
-                f"{verdict.name} for {what}")
+            raise proto.status_error(verdict, f"{verdict.name} for {what}")
         return mark
 
     def _require_unmoved(self, mark, what: str):

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .fock_core import TwoModeState
+from .hds.buffer import SAMPLE_RATE_HZ
 from .hds.words import ADC_MAX as ADC_CODE_MAX, ADC_MIN as ADC_CODE_MIN
 from .parallel import task_map
 
@@ -227,15 +228,14 @@ class QuadratureSampler:
 class PhaseDrive:
     """Sawtooth LO phase ramp spanning 2 pi, with a short linear flyback.
 
-    The drive is mirrored on a 14-bit ADC channel: the code sweeps the full
-    range over the ramp and retraces during the flyback at roughly
-    -(1/reset_fraction) times the ramp slope.
+    The drive is sampled on the HDS timetag clock (SAMPLE_RATE_HZ) and
+    mirrored on a 14-bit ADC channel: the code sweeps the full range over
+    the ramp, from phase 0 at code ADC_CODE_MIN, and retraces during the
+    flyback at roughly -(1/reset_fraction) times the ramp slope.
     """
 
     ramp_frequency_hz: float
-    sample_rate_hz: float = 100e6
     reset_fraction: float = 0.001
-    phase_offset: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.reset_fraction <= 0.01:
@@ -245,7 +245,7 @@ class PhaseDrive:
 
     @property
     def period_samples(self) -> int:
-        return int(round(self.sample_rate_hz / self.ramp_frequency_hz))
+        return int(round(SAMPLE_RATE_HZ / self.ramp_frequency_hz))
 
     @property
     def ramp_samples(self) -> int:
@@ -262,7 +262,7 @@ class PhaseDrive:
         L = self.ramp_samples
         in_ramp = u < L
         frac_up = u / L
-        theta = (2 * np.pi * frac_up + self.phase_offset) % (2 * np.pi)
+        theta = (2 * np.pi * frac_up) % (2 * np.pi)
         # 16384 code steps over the ramp so no code aliases across the wrap
         code_up = np.floor(ADC_CODE_MIN + _ADC_CODES * frac_up)
         v = u - L + 1
@@ -281,6 +281,5 @@ class PhaseDrive:
     def theta_from_code(self, code):
         """Inverse of the ramp mapping: code -> theta in [0, 2 pi)."""
         code = np.asarray(code, dtype=float)
-        return ((code - ADC_CODE_MIN) / _ADC_CODES * 2 * np.pi
-                + self.phase_offset) % (2 * np.pi)
+        return ((code - ADC_CODE_MIN) / _ADC_CODES * 2 * np.pi) % (2 * np.pi)
 

@@ -140,7 +140,7 @@ def witness(state: TwoModeState) -> WitnessResult:
     return WitnessResult(fidelity_11=f, rank_class=cls)
 
 
-def max_fidelity_over_lambda(eta: float, n: int, lam_tol: float = 1e-6):
+def max_fidelity_over_lambda(eta: float, n: int):
     """(max_lambda F_{n,n}(lambda, eta), argmax) by grid plus golden-section
     refinement."""
     from scipy.optimize import minimize_scalar
@@ -151,7 +151,7 @@ def max_fidelity_over_lambda(eta: float, n: int, lam_tol: float = 1e-6):
     hi = grid[min(i + 1, grid.size - 1)]
     res = minimize_scalar(lambda l: -fock11_fidelity_closed(l, eta, n),
                           bracket=(lo, grid[i], hi), method="golden",
-                          options={"xtol": lam_tol})
+                          options={"xtol": 1e-6})
     lam_star = float(res.x)
     return fock11_fidelity_closed(lam_star, eta, n), lam_star
 

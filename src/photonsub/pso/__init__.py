@@ -6,7 +6,8 @@ from .pipeline import (EVENT_DTYPE, PIPELINE_DEPTH_SUBBINS, coincidence_gate,
                        coincidence_pipeline, hold_time_filter,
                        seed_rejection_filter, zero_detection_tags)
 from .records import (RECORD_DTYPE, DatasetWriter, RunReport, build_records,
-                      read_class, read_records, write_records)
+                      class_key, parse_class_key, read_class, read_records,
+                      write_records)
 
 __all__ = [
     "signature_class",
@@ -15,5 +16,6 @@ __all__ = [
     "coincidence_gate", "hold_time_filter", "seed_rejection_filter",
     "zero_detection_tags",
     "RECORD_DTYPE", "DatasetWriter", "RunReport", "build_records",
-    "read_class", "read_records", "write_records",
+    "class_key", "parse_class_key", "read_class", "read_records",
+    "write_records",
 ]

@@ -1,10 +1,10 @@
 """Division-free sub-bin centroid and the 64-bit detection signature.
 
 The coincidence window spans nine 300-MHz sub-bins (three 100-MHz coarse
-bins).  The weighted-average sub-bin of the combined counts is computed
-without division by comparing the numerator sum(i * c_i) against the
-precomputed thresholds k * sum(c_i); equality resolves to the lower bin,
-which makes the result exactly floor(num / total).
+bins).  Whether the weighted-average sub-bin floor(num / total) of the
+combined counts, num = sum(i * c_i), is a trigger bin is decided without
+division, by comparing num against the thresholds k * total of the two
+ladder rungs around TRIGGER_BINS.
 
 Signature layout (64 bits): side A in the low word, side B in the high
 word; within each word sub-bin 0 sits at the LSB in 3-bit fields
@@ -20,14 +20,6 @@ TRIGGER_BINS = (4, 5, 6)
 SUBBIN_FIELD_BITS = 3
 SUM_SHIFT = 27
 SUM_MASK = 0x1F
-
-
-def centroid_bins(numerators, totals) -> np.ndarray:
-    """Vectorized threshold-ladder centroid; totals must be positive."""
-    num = np.asarray(numerators, dtype=np.int64)
-    tot = np.asarray(totals, dtype=np.int64)
-    ks = np.arange(1, 9, dtype=np.int64)
-    return (num[:, None] >= ks[None, :] * tot[:, None]).sum(axis=1)
 
 
 def in_trigger_bins(numerators, totals) -> np.ndarray:

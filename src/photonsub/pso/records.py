@@ -52,6 +52,20 @@ def read_records(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=RECORD_DTYPE).copy()
 
 
+def class_key(cls) -> str:
+    """The class (n, m) as the text "n,m" that files and reports key by."""
+    return f"{cls[0]},{cls[1]}"
+
+
+def parse_class_key(text: str):
+    """Inverse of class_key; ValueError for text that is not "n,m"."""
+    try:
+        n, m = text.split(",")
+        return int(n), int(m)
+    except ValueError:
+        raise ValueError(f'{text[:20]!r} is not "n,m"') from None
+
+
 def _part_name(cls, idx: int) -> str:
     return f"sig_{cls[0]}_{cls[1]}.part{idx:03d}.bin"
 
@@ -125,7 +139,7 @@ class DatasetWriter:
                              "adc[4] i16 (A homodyne, A drive, B homodyne, "
                              "B drive), little-endian, 24 bytes",
             "records_per_file": self.records_per_file,
-            "class_counts": {f"{k[0]},{k[1]}": v for k, v in self.counts.items()},
+            "class_counts": {class_key(k): v for k, v in self.counts.items()},
             "files": self.files,
         }
         meta.update(metadata or {})

@@ -11,8 +11,11 @@ import numpy as np
 from math import comb, log2, sqrt, tanh
 from scipy.special import eval_hermite, factorial
 
-from photonsub.fock_core import (CutoffTooSmallError, TwoModeState,
-                                 ZeroProbabilityError)
+from photonsub.fock_core import TwoModeState, ZeroProbabilityError
+
+
+class CutoffTooSmallError(ValueError):
+    """Working cutoff leaves more squeezed-ladder tail weight than allowed."""
 
 
 def binom_amp(k, n, R):
@@ -214,6 +217,14 @@ def circuit_oracle(model, n_c: int, n_c_work=None):
     # coefficient-level comparisons
     state.oracle_pure_amplitudes = pure_amplitudes
     return state
+
+
+def centroid_bins(numerators, totals) -> np.ndarray:
+    """Vectorized threshold-ladder centroid; totals must be positive."""
+    num = np.asarray(numerators, dtype=np.int64)
+    tot = np.asarray(totals, dtype=np.int64)
+    ks = np.arange(1, 9, dtype=np.int64)
+    return (num[:, None] >= ks[None, :] * tot[:, None]).sum(axis=1)
 
 
 def centroid_division_oracle(counts):

@@ -17,11 +17,11 @@ from photonsub import fock_core as fc
 from photonsub import ng_metrics as ng
 from photonsub import harness as hx
 from photonsub.conformance import LoopbackSocketTransport, run_protocol_checks
-from photonsub.pso.centroid import centroid_bins
+from photonsub.pso.centroid import TRIGGER_BINS, in_trigger_bins
 import golden_bundles
-from oracles import (circuit_oracle, closed_form_log_negativity,
-                     kraus_lossy_state, naive_coefficient, naive_norm_sq,
-                     pure_ladder_amplitudes)
+from oracles import (centroid_bins, circuit_oracle,
+                     closed_form_log_negativity, kraus_lossy_state,
+                     naive_coefficient, naive_norm_sq, pure_ladder_amplitudes)
 
 
 def verdict(num, label, ok, detail=""):
@@ -279,10 +279,14 @@ def test_criterion_8_centroid_exhaustive():
     tots = pats.sum(axis=1)
     got = centroid_bins(nums, tots)
     mismatches = int(np.count_nonzero(got != nums // tots))
-    ok = mismatches == 0
+    # the trigger's own two-rung test of the same centroids
+    trigger_mismatches = int(np.count_nonzero(
+        in_trigger_bins(nums, tots) != np.isin(nums // tots, TRIGGER_BINS)))
+    ok = mismatches == 0 and trigger_mismatches == 0
     assert verdict(8, "division-free centroid equals floor oracle "
                       "exhaustively", ok,
-                   f"{pats.shape[0]} patterns, {mismatches} mismatches")
+                   f"{pats.shape[0]} patterns, {mismatches} mismatches, "
+                   f"{trigger_mismatches} trigger-bin mismatches")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from photonsub import fock_core as fc
 from oracles import (
     beamsplitter_unitary,
     circuit_oracle,
+    CutoffTooSmallError,
     kraus_lossy_state,
     naive_coefficient,
     naive_norm_sq,
@@ -165,6 +166,13 @@ class TestPureState:
         with pytest.raises(fc.ZeroProbabilityError):
             fc.pure_subtracted_state(m, n_c=6)
 
+    def test_no_weight_inside_the_cutoff(self):
+        # every ladder term |k-3, k> has k >= 3 photons in mode 2
+        m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, n_sub=3, m_sub=0)
+        with pytest.warns(fc.TruncationWarning), \
+                pytest.raises(fc.ZeroProbabilityError):
+            fc.pure_subtracted_state(m, n_c=2)
+
     def test_truncation_warning(self):
         m = fc.SubtractionModel(r=1.4, R1=0.01, R2=0.01)
         with pytest.warns(fc.TruncationWarning):
@@ -175,8 +183,10 @@ class TestLossyState:
     def test_unit_eta_reduces_to_pure(self):
         m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, n_sub=1, m_sub=1)
         lossy = fc.lossy_subtracted_state(m, n_c=6)
-        pure = fc.pure_subtracted_state(m, n_c=6)
-        np.testing.assert_allclose(lossy.matrix, pure.matrix, atol=1e-12)
+        # the projector on the ladder amplitudes inside the cutoff
+        v = pure_ladder_amplitudes(1, 1, m.r, m.R1, m.R2, dw=7).ravel()
+        v /= np.linalg.norm(v)
+        np.testing.assert_allclose(lossy.matrix, np.outer(v, v), atol=1e-12)
 
     def test_full_loss_gives_vacuum(self):
         m = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, eta1=0.0, eta2=0.0,
@@ -232,7 +242,7 @@ class TestCircuitOracle:
             fc.success_probability(NOMINAL), rel=1e-10)
 
     def test_cutoff_guard(self):
-        with pytest.raises(fc.CutoffTooSmallError):
+        with pytest.raises(CutoffTooSmallError):
             circuit_oracle(NOMINAL, n_c=2, n_c_work=3)
 
 

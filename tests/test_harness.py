@@ -14,13 +14,14 @@ from photonsub import fock_core as fc
 from photonsub import ng_metrics as ng
 from photonsub import harness as hx
 from photonsub import parallel
+from photonsub.harness import experiment
 from photonsub.harness.calibration import MAX_LAG
 from photonsub.harness.generator import (
     _STREAM_VACUUM_A, _STREAM_VACUUM_B, _STREAM_Z1, _STREAM_Z2, CHUNK,
     DRIVE_A, DRIVE_B, PIPELINE_COARSE_OFFSET, THERMAL_PULSE_PERIOD, WINDOW,
     StreamGenerator, _rng, tiled)
 from photonsub.hds import ADC_MAX, ADC_MIN, DEFAULT_PAGES, HomodyneServer
-from photonsub.pso import coincidence_pipeline
+from photonsub.pso import class_key, coincidence_pipeline, read_class
 import golden_bundles
 from oracles import quadrature_operator
 from test_parallel import blas_threads, leftovers
@@ -512,13 +513,33 @@ class TestExperimentSmall:
 
 @pytest.mark.slow
 class TestDelayScan:
-    def test_true_delay_wins(self, tmp_path):
+    def test_true_delay_wins(self, tmp_path, monkeypatch):
         cfg = SMALL.with_overrides(class_targets={(1, 1): 800, (0, 0): 800},
                                    zero_detection_rate=2 ** 12)
+        offsets = [(0, 0), (3, 3), (-3, -3)]
+        reconstructed = []          # per scan: {class: records analyzed}
+        analyze = experiment.analyze_classes
+
+        def counting_analyze(*args):
+            results = analyze(*args)
+            reconstructed.append({cls: res.data.size
+                                  for cls, res in results.items()})
+            return results
+
+        monkeypatch.setattr(experiment, "analyze_classes", counting_analyze)
         with pytest.warns(UserWarning, match="stopping bound"), \
                 pytest.warns(UserWarning, match="below D"):
-            rows = hx.delay_scan(cfg, [(0, 0), (3, 3), (-3, -3)], tmp_path,
+            rows = hx.delay_scan(cfg, offsets, tmp_path,
                                  scan_targets=800, max_iterations=250)
+        # each scan directory holds its records and their run_meta.txt
+        assert len(reconstructed) == len(offsets)
+        for (i, j), sizes in zip(offsets, reconstructed):
+            run = tmp_path / f"scan_{i}_{j}"
+            meta = json.loads((run / "run_meta.txt").read_text())
+            for cls, n in sizes.items():
+                assert n > 0
+                assert (meta["class_counts"][class_key(cls)]
+                        == read_class(run, cls).size == n)
         by_offset = {r.offset: r for r in rows}
         center = by_offset[(0, 0)]
         for off in ((3, 3), (-3, -3)):

@@ -785,14 +785,43 @@ class TestMoreProtocolEdges:
         with pytest.raises(hds.IntegrityError):
             srv.query_samples(0, np.array([1]))
 
-    def test_pacing_flag_slows_ingest(self):
-        import time
-        srv = make_server(pages=2)
-        srv.config.pace_realtime = True
-        t0 = time.perf_counter()
-        srv.ingest(hds.pack_words(np.zeros(50_000), np.zeros(50_000)))
-        # 50k samples at 100 MHz is 0.5 ms of simulated time
-        assert time.perf_counter() - t0 >= 0.0005
+    @pytest.mark.parametrize("status, error", [
+        (proto.Status.KEYWORD_MISMATCH, hds.KeywordMismatchError),
+        (proto.Status.STALE_OVERFLOW, hds.StaleEpochError),
+        (proto.Status.ACTIVE_HALF, hds.ActiveHalfError),
+        (proto.Status.INTEGRITY, hds.IntegrityError),
+        (proto.Status.MALFORMED, hds.ProtocolError),
+        (proto.Status.RANGE, hds.ProtocolError),
+    ])
+    def test_every_status_reaches_the_client_as_its_error(self, status,
+                                                          error):
+        # each request fails on the server, which answers with its status;
+        # the client raises the same error type the server raised
+        srv = make_server(pages=64)
+        fill_first_half(srv)
+        client = hds.HdsClient(hds.InProcessTransport(srv))
+        half = srv.buffer.half
+        query = {
+            # a continuation batch before any keyword header
+            proto.Status.KEYWORD_MISMATCH:
+                lambda: client.query_samples(0, [1], continue_epoch=True),
+            proto.Status.STALE_OVERFLOW: lambda: client.query_samples(5, [1]),
+            proto.Status.ACTIVE_HALF:
+                lambda: client.query_samples(0, [half + 5]),
+            proto.Status.INTEGRITY: lambda: client.query_samples(0, [1]),
+            # a sample query's three tags where a scan wants two
+            proto.Status.MALFORMED: lambda: client.query_samples(0, [1, 2, 3]),
+            proto.Status.RANGE:
+                lambda: client.query_samples(0, [srv.buffer.capacity]),
+        }[status]
+        if status is proto.Status.INTEGRITY:
+            srv.inject_fault("fifo_overflow")
+        if status is proto.Status.MALFORMED:
+            client.set_config(mode="threshold")
+        with pytest.raises(hds.ProtocolError) as info:
+            query()
+        assert type(info.value) is error
+        assert info.value.status is status
 
 
 class TestTestVectors:

@@ -30,10 +30,7 @@ class TestUhlmannFidelity:
 
     def test_pure_target_reduces_to_overlap(self, nominal_states):
         s00, _ = nominal_states
-        d = 11
-        amps = np.zeros(d * d)
-        amps[0] = 1.0
-        vac = fc.TwoModeState.from_pure(10, amps)
+        vac = fc.TwoModeState.vacuum(10)
         assert ng.uhlmann_fidelity(s00, vac) == pytest.approx(
             s00.population(0, 0), rel=1e-10)
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonsub import hds, pso
-from photonsub.pso.centroid import centroid_bins, pack_windows
-from oracles import (centroid_division_oracle, dense_window_scan,
-                     unpack_signature)
+from photonsub.pso.centroid import TRIGGER_BINS, in_trigger_bins, pack_windows
+from oracles import (centroid_bins, centroid_division_oracle,
+                     dense_window_scan, unpack_signature)
 
 
 def window_centroid(counts):
@@ -293,6 +293,9 @@ class TestCentroidExhaustive:
         expect = nums // tots
         np.testing.assert_array_equal(got, expect)
         assert pats.shape[0] == 293_929
+        # the trigger's two-rung test over the same patterns
+        np.testing.assert_array_equal(in_trigger_bins(nums, tots),
+                                      np.isin(expect, TRIGGER_BINS))
 
 
 class TestConsole:
