@@ -81,11 +81,11 @@ class HdsClient:
         """Large query split into keyword header + continuation batches,
         the way client drivers fragment big requests."""
         tags = np.asarray(timetags, dtype=WORD_DTYPE).ravel()
-        out = []
-        for i, lo in enumerate(range(0, tags.size, batch)):
-            part = tags[lo:lo + batch]
-            out.append(self.query_samples(overflow, part,
-                                          continue_epoch=i > 0))
+        out = [self.query_samples(overflow, tags[lo:lo + batch],
+                                  continue_epoch=lo > 0)
+               for lo in range(0, tags.size, batch)]
+        if len(out) == 1:
+            return out[0]
         return (np.concatenate(out) if out
                 else np.zeros(0, dtype=WORD_DTYPE))
 

@@ -88,10 +88,12 @@ def status_error(status: Status, message: str) -> ProtocolError:
 def encode_query(overflow: int, timetags,
                  with_keyword: bool = True) -> np.ndarray:
     tags = np.asarray(timetags, dtype=WORD_DTYPE).ravel()
-    if with_keyword:
-        head = np.array([KEYWORD, overflow], dtype=WORD_DTYPE)
-        return np.concatenate([head, tags])
-    return tags
+    if not with_keyword:
+        return tags
+    frame = np.empty(REQUEST_HEADER_WORDS + tags.size, dtype=WORD_DTYPE)
+    frame[:REQUEST_HEADER_WORDS] = KEYWORD, overflow
+    frame[REQUEST_HEADER_WORDS:] = tags
+    return frame
 
 
 def encode_scan(overflow: int, start: int, end: int) -> np.ndarray:
@@ -100,11 +102,12 @@ def encode_scan(overflow: int, start: int, end: int) -> np.ndarray:
 
 def encode_response(status: Status, overflow: int,
                     payload=None) -> np.ndarray:
-    payload = (np.zeros(0, dtype=WORD_DTYPE) if payload is None
-               else np.asarray(payload, dtype=WORD_DTYPE).ravel())
-    head = np.array([KEYWORD, int(status), overflow, payload.size],
-                    dtype=WORD_DTYPE)
-    return np.concatenate([head, payload])
+    count = 0 if payload is None else np.size(payload)
+    frame = np.empty(RESPONSE_HEADER_WORDS + count, dtype=WORD_DTYPE)
+    frame[:RESPONSE_HEADER_WORDS] = KEYWORD, int(status), overflow, count
+    if count:
+        frame[RESPONSE_HEADER_WORDS:] = np.ravel(payload)
+    return frame
 
 
 def decode_response(words: np.ndarray):
@@ -112,11 +115,10 @@ def decode_response(words: np.ndarray):
     words = np.asarray(words, dtype=WORD_DTYPE)
     if words.size < RESPONSE_HEADER_WORDS:
         raise ValueError("short response frame")
-    if int(words[0]) != KEYWORD:
+    keyword, status, overflow, count = words[:RESPONSE_HEADER_WORDS].tolist()
+    if keyword != KEYWORD:
         raise ValueError("response does not start with the protocol keyword")
-    status = Status(int(words[1]))
-    overflow = int(words[2])
-    count = int(words[3])
+    status = Status(status)
     if words.size != RESPONSE_HEADER_WORDS + count:
         raise ValueError("response payload length mismatch")
     return status, overflow, words[RESPONSE_HEADER_WORDS:]

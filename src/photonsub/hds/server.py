@@ -23,7 +23,7 @@ import numpy as np
 
 from . import protocol as proto
 from .buffer import DEFAULT_PAGES, OVERFLOW_MASK, PAGE_WORDS, RingBuffer
-from .words import (ADC_MAX, ADC_MIN, HALF_DTYPE, PLACEHOLDER_WORD,
+from .words import (ADC_MAX, ADC_MIN, DRIVE, HALF_DTYPE, PLACEHOLDER_WORD,
                     WORD_DTYPE, pack_words, sample_view, unpack_words)
 
 _HALF_RANGE = np.iinfo(HALF_DTYPE)     # what an integrated sum saturates at
@@ -131,37 +131,33 @@ class HomodyneServer:
             saturation_events=self._saturation_events,
         )
 
-    def sealed_region(self):
-        """((overflow, lo, hi)) describing the currently sealed half, or
-        None before the first half fills."""
+    def _classify(self, overflow: int, lo: int, hi: int) -> proto.Status:
+        """Verdict for a request whose timetags span [lo, hi] (lo > hi: no
+        timetags).  A tag's epoch is monotone in the tag and the two halves
+        are the ends of the buffer, so the span's ends decide every tag."""
         buf = self.buffer
-        if buf.write_cursor >= buf.half:
-            return buf.overflow_number, 0, buf.half
-        if buf.overflow_number == 0:
-            return None
-        return (buf.overflow_number - 1) & OVERFLOW_MASK, buf.half, buf.capacity
-
-    def _classify(self, overflow: int, tags: np.ndarray) -> proto.Status:
-        buf = self.buffer
-        if tags.size and int(tags.max()) >= buf.capacity:
+        if lo < 0 or hi >= buf.capacity:
             return proto.Status.RANGE
+        ovf = buf.overflow_number
+        prev = (ovf - 1) & OVERFLOW_MASK
         if self._halted:
-            # full buffer readable; each tag's epoch must match the request
-            epoch = np.where(tags < buf.write_cursor, buf.overflow_number,
-                             (buf.overflow_number - 1) & OVERFLOW_MASK)
-            return (proto.Status.OK if np.all(epoch == overflow)
+            # full buffer readable: tags below the cursor hold the current
+            # epoch, the rest the one before; each must match the request
+            return (proto.Status.OK if lo > hi
+                    or (hi < buf.write_cursor and overflow == ovf)
+                    or (lo >= buf.write_cursor and overflow == prev)
                     else proto.Status.STALE_OVERFLOW)
-        sealed = self.sealed_region()
-        if sealed is not None:
-            ovf, lo, hi = sealed
-            if overflow == ovf and (tags.size == 0 or (
-                    int(tags.min()) >= lo and int(tags.max()) < hi)):
-                return proto.Status.OK
+        # the sealed half: the lower one of this epoch while the writer is
+        # in the upper, else the upper one of the epoch before, which does
+        # not exist before the first wrap
+        upper = buf.write_cursor >= buf.half
+        sealed_lo = 0 if upper else buf.half
+        if ((upper or ovf) and overflow == (ovf if upper else prev)
+                and (lo > hi or sealed_lo <= lo <= hi < sealed_lo + buf.half)):
+            return proto.Status.OK
         # distinguish touching the live half from a stale epoch
-        active_lo = 0 if buf.write_cursor < buf.half else buf.half
-        active_hi = active_lo + buf.half
-        in_active = (tags >= active_lo) & (tags < active_hi)
-        if overflow == buf.overflow_number and bool(np.any(in_active)):
+        active_lo = buf.half - sealed_lo
+        if overflow == ovf and lo < active_lo + buf.half and hi >= active_lo:
             return proto.Status.ACTIVE_HALF
         return proto.Status.STALE_OVERFLOW
 
@@ -170,43 +166,60 @@ class HomodyneServer:
         buf = self.buffer
         return buf.overflow_number, buf.write_cursor >= buf.half
 
-    def _require_readable(self, overflow: int, tags: np.ndarray, what: str):
-        """Raise the typed protocol error unless _classify answers OK;
-        returns the writer's half mark from before the verdict."""
+    def _require_intact(self):
+        if (self._fifo_overflow or self._adc_out_of_range
+                or not self._clock_locked):
+            raise proto.IntegrityError("server integrity flags are set")
+
+    def _require_readable(self, overflow: int, lo: int, hi: int):
+        """Raise the typed protocol error unless _classify answers OK for
+        the span [lo, hi]; returns the writer's half mark from before the
+        verdict."""
         mark = self._half_mark()
-        verdict = self._classify(overflow, tags)
+        verdict = self._classify(overflow, lo, hi)
         if verdict is not proto.Status.OK:
-            raise proto.status_error(verdict, f"{verdict.name} for {what}")
+            raise proto.status_error(
+                verdict, f"{verdict.name} for timetags [{lo}, {hi}]")
         return mark
 
-    def _require_unmoved(self, mark, what: str):
+    def _require_unmoved(self, mark):
         """STALE_OVERFLOW if the writer changed halves since `mark`: the
         words just read may already belong to a later epoch."""
         if self._half_mark() != mark:
-            raise proto.StaleEpochError(f"writer changed halves during {what}")
+            raise proto.StaleEpochError("writer changed halves during a read")
 
     # ------------------------------------------------------------------
     # query engine
     # ------------------------------------------------------------------
     def query_samples(self, overflow: int, timetags) -> np.ndarray:
-        """One response word per timetag in the configured mode."""
-        st = self.status()
-        if not st.data_queries_allowed:
-            raise proto.IntegrityError("server integrity flags are set")
+        """One response word per timetag in the configured mode.
+
+        With slope checking on, a timetag is in the phase-drive flyback
+        when its drive code is below that of the previous timetag; its
+        word becomes the placeholder.  Timetag 0 has no previous sample.
+        The previous sample is read raw from storage (the hardware reads
+        SDRAM directly, with no half accounting)."""
+        self._require_intact()
         tags = np.asarray(timetags, dtype=np.int64)
         with self._lock:
-            cfg_window = self.config.integration_window
-            cfg_slope = self.config.slope_check
-        what = f"{tags.size} timetags"
-        mark = self._require_readable(
-            overflow, np.concatenate([tags, tags + cfg_window - 1])
-            if cfg_window > 1 else tags, what)
-        raw = self.buffer.read(tags)
-        words = (self._integrated_words(tags, raw, cfg_window)
-                 if cfg_window > 1 else raw)
-        if cfg_slope:
-            self._apply_slope_check(tags, raw, words)
-        self._require_unmoved(mark, what)
+            window = self.config.integration_window
+            slope = self.config.slope_check
+        lo, hi = ((int(tags.min()), int(tags.max()) + window - 1)
+                  if tags.size else (0, -1))
+        mark = self._require_readable(overflow, lo, hi)
+        # the words and, for the slope check, their predecessors in one
+        # gather, a row each (as one flat vector the same gather made
+        # 16,000-tag requests over the wire ~20% slower); timetag 0 is its
+        # own predecessor, so never a flyback
+        got = self.buffer.read(np.concatenate((tags, np.maximum(tags - 1, 0)))
+                               .reshape(2, *tags.shape) if slope else tags)
+        raw = got[0] if slope else got
+        words = (self._integrated_words(tags, raw, window)
+                 if window > 1 else raw)
+        if slope:
+            drive = sample_view(got)[..., DRIVE]
+            words[drive[0] < drive[1]] = PLACEHOLDER_WORD
+        self._require_unmoved(mark)
         return words
 
     def _integrated_words(self, tags: np.ndarray, raw: np.ndarray,
@@ -223,19 +236,6 @@ class HomodyneServer:
         sample_view(words)[...] = np.clip(acc, lo, hi, out=acc)
         return words
 
-    def _apply_slope_check(self, tags: np.ndarray, raw: np.ndarray,
-                           words: np.ndarray):
-        """Overwrite flyback samples in `words` with the placeholder word.
-
-        A timetag is in the flyback when the phase-drive code in `raw`, the
-        words read at `tags`, decreases from the previous sample.  The
-        neighbor is read raw from storage (the hardware reads SDRAM
-        directly, with no half accounting)."""
-        _, b_now = unpack_words(raw)
-        _, b_prev = unpack_words(
-            self.buffer.read(np.where(tags > 0, tags - 1, 0)))
-        words[(b_now < b_prev) & (tags > 0)] = PLACEHOLDER_WORD
-
     def threshold_scan(self, overflow: int, start: int, end: int) -> np.ndarray:
         """Timetags in [start, end) where the homodyne ADC crosses the
         configured threshold with the configured slope.
@@ -243,16 +243,10 @@ class HomodyneServer:
         A crossing is strict: the previous sample on the wrong side, the
         current one at or beyond the threshold.  The scan must not span an
         overflow boundary."""
-        st = self.status()
-        if not st.data_queries_allowed:
-            raise proto.IntegrityError("server integrity flags are set")
+        self._require_intact()
         if not (0 <= start < end <= self.buffer.capacity):
             raise proto.ProtocolError(proto.Status.RANGE, "bad scan range")
-        what = f"scan [{start}, {end})"
-        # a tag's epoch is monotone in the tag and the two halves are the
-        # ends of the buffer, so the endpoints classify the whole range
-        mark = self._require_readable(overflow, np.array([start, end - 1]),
-                                      what)
+        mark = self._require_readable(overflow, start, end - 1)
         with self._lock:
             thr = self.config.threshold
             sign = self.config.slope_sign
@@ -265,7 +259,7 @@ class HomodyneServer:
             a = s * a.astype(np.int32)
             hit = (a[:-1] < s * thr) & (a[1:] >= s * thr)
             hits.append(lo + 1 + np.nonzero(hit)[0])
-        self._require_unmoved(mark, what)
+        self._require_unmoved(mark)
         return np.concatenate(hits).astype(WORD_DTYPE)
 
     # ------------------------------------------------------------------
@@ -286,12 +280,10 @@ class HomodyneServer:
             conn.overflow = int(body[1])
             payload = body[2:]
         else:
-            if body.size and int(body.max()) >= self.buffer.capacity:
-                # cannot be a continuation batch: timetags never reach the
-                # keyword range, so this is a bad keyword
-                return proto.encode_response(proto.Status.KEYWORD_MISMATCH,
-                                             ovf_echo)
-            if conn.overflow is None:
+            # a word beyond the buffer cannot be a continuation batch's
+            # timetag (they never reach the keyword range): a bad keyword
+            if (int(body.max()) >= self.buffer.capacity
+                    or conn.overflow is None):
                 return proto.encode_response(proto.Status.KEYWORD_MISMATCH,
                                              ovf_echo)
             payload = body
@@ -303,8 +295,7 @@ class HomodyneServer:
                 out = self.threshold_scan(conn.overflow, int(payload[0]),
                                           int(payload[1]))
             else:
-                out = self.query_samples(conn.overflow,
-                                         payload.astype(np.int64))
+                out = self.query_samples(conn.overflow, payload)
         except proto.ProtocolError as err:
             return proto.encode_response(err.status, ovf_echo)
         return proto.encode_response(proto.Status.OK, conn.overflow, out)

@@ -2,10 +2,13 @@
 
 These deliberately re-derive results along different code paths than the
 library: beamsplitter circuits and Kraus-operator loss channels, naive
-series sums, complex rank-one vectors, dense window scans, floor division.
+series sums, complex rank-one vectors, dense window scans, floor division,
+homodyne-server replies worked out one timetag at a time.
 They must never import the implementation they check beyond basic data
 types.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from math import comb, log2, sqrt, tanh
@@ -377,3 +380,131 @@ def sequential_sample_batch(sampler, theta1, theta2, rng, chunk=2048,
         x1[lo:hi] = grid[i1] + (rng.random(m) - 0.5) * step
         x2[lo:hi] = grid[i2] + (rng.random(m) - 0.5) * step
     return x1, x2
+
+
+# ---------------------------------------------------------------------------
+# homodyne detection server replies, tag by tag from the protocol spec
+# ---------------------------------------------------------------------------
+
+HDS_KEYWORD = 0x48445351
+(HDS_OK, HDS_KEYWORD_MISMATCH, HDS_STALE_OVERFLOW, HDS_ACTIVE_HALF,
+ HDS_INTEGRITY, HDS_MALFORMED, HDS_RANGE) = range(7)
+HDS_PAGE_WORDS = 1024
+HDS_OVERFLOW_MASK = (1 << 29) - 1
+HDS_PLACEHOLDER_WORD = 0x8000_8000
+
+
+class HdsState(NamedTuple):
+    """What a reply depends on: the physical storage and page table, the
+    writer's cursor and overflow number, HALT, and the configuration."""
+    storage: np.ndarray
+    page_map: np.ndarray
+    cursor: int
+    overflow: int
+    halted: bool
+    mode: str = "samples"
+    window: int = 1
+    slope: bool = False
+    threshold: int = 2000
+    slope_sign: int = 1
+
+    @property
+    def capacity(self):
+        return self.storage.size
+
+
+def hds_address(page_map, t):
+    """page_map[t // 1024] * 1024 + t % 1024"""
+    return int(page_map[t // HDS_PAGE_WORDS]) * HDS_PAGE_WORDS \
+        + t % HDS_PAGE_WORDS
+
+
+def hds_halves(state, t):
+    """(homodyne, drive) samples of timetag t as signed 16-bit ints."""
+    w = int(state.storage[hds_address(state.page_map, t)])
+    return tuple(h - 0x10000 if h & 0x8000 else h
+                 for h in (w >> 16, w & 0xFFFF))
+
+
+def hds_verdict(state, overflow, tags):
+    """Status of reading every timetag in `tags` for epoch `overflow`."""
+    cap, half = state.capacity, state.capacity // 2
+    if any(t < 0 or t >= cap for t in tags):
+        return HDS_RANGE
+    ovf, prev = state.overflow, (state.overflow - 1) & HDS_OVERFLOW_MASK
+
+    def epoch(t):   # of the word last written at t
+        return ovf if t < state.cursor else prev
+
+    if state.halted:
+        return (HDS_OK if all(epoch(t) == overflow for t in tags)
+                else HDS_STALE_OVERFLOW)
+    if state.cursor >= half:
+        sealed = (ovf, 0, half)
+    else:
+        sealed = (prev, half, cap) if ovf else None
+    if sealed and overflow == sealed[0] and all(
+            sealed[1] <= t < sealed[2] for t in tags):
+        return HDS_OK
+    active = range(0, half) if state.cursor < half else range(half, cap)
+    if overflow == ovf and any(t in active for t in tags):
+        return HDS_ACTIVE_HALF
+    return HDS_STALE_OVERFLOW
+
+
+def hds_sample_word(state, t):
+    """The reply word for timetag t: the sum of window samples per half,
+    saturated to int16, or the placeholder where the drive code is below
+    the previous timetag's (timetag 0 has none)."""
+    if state.slope and t > 0 and (hds_halves(state, t)[1]
+                                  < hds_halves(state, t - 1)[1]):
+        return HDS_PLACEHOLDER_WORD
+    sums = [sum(hds_halves(state, t + k)[i] for k in range(state.window))
+            for i in (0, 1)]
+    a, b = (min(max(s, -32768), 32767) & 0xFFFF for s in sums)
+    return (a << 16) | b
+
+
+def hds_crossings(state, start, end):
+    """Timetags in [start, end) whose homodyne sample reaches the threshold
+    from the wrong side of it: rising from below, falling from above."""
+    thr, hits = state.threshold, []
+    for t in range(start + 1, end):
+        p, c = hds_halves(state, t - 1)[0], hds_halves(state, t)[0]
+        if (p < thr <= c) if state.slope_sign >= 0 else (p > thr >= c):
+            hits.append(t)
+    return hits
+
+
+def hds_reply(state, conn_overflow, body):
+    """(status, overflow echo, payload, connection epoch) for one request
+    body, given the epoch the connection's last keyword header set."""
+    body = [int(w) for w in body]
+
+    def error(status):      # errors echo the writer's overflow number
+        return status, state.overflow, [], conn_overflow
+
+    if not body:
+        return error(HDS_MALFORMED)
+    if body[0] == HDS_KEYWORD:
+        if len(body) < 2:
+            return error(HDS_MALFORMED)
+        conn_overflow, payload = body[1], body[2:]
+    elif max(body) >= state.capacity or conn_overflow is None:
+        return error(HDS_KEYWORD_MISMATCH)
+    else:
+        payload = body
+    if state.mode == "threshold":
+        if len(payload) != 2:
+            return error(HDS_MALFORMED)
+        if not 0 <= payload[0] < payload[1] <= state.capacity:
+            return error(HDS_RANGE)
+        read = range(*payload)
+    else:
+        read = [t + k for t in payload for k in range(state.window)]
+    verdict = hds_verdict(state, conn_overflow, read)
+    if verdict != HDS_OK:
+        return error(verdict)
+    out = (hds_crossings(state, *payload) if state.mode == "threshold"
+           else [hds_sample_word(state, t) for t in payload])
+    return HDS_OK, conn_overflow, out, conn_overflow

@@ -1,3 +1,4 @@
+import itertools
 import os
 import socket
 import struct
@@ -15,6 +16,7 @@ from photonsub.hds.server import MAX_INTEGRATION_WINDOW, SCAN_BLOCK_WORDS
 from photonsub.hds.words import WORD_DTYPE
 from photonsub.homodyne_model import PhaseDrive
 import hds_test_vectors as tv
+import oracles
 
 
 def make_server(pages=64, **cfg):
@@ -33,6 +35,21 @@ def fill_first_half(srv, pattern=None):
     # push the cursor past the half boundary so H0 seals
     srv.ingest(hds.pack_words([0], [0]))
     return pattern
+
+
+def noise_words(n, seed=0):
+    """n words of uniform 14-bit noise on both channels."""
+    rng = np.random.default_rng(seed)
+    return hds.pack_words(rng.integers(-8192, 8192, n),
+                          rng.integers(-8192, 8192, n))
+
+
+def oracle_state(srv):
+    buf, cfg = srv.buffer, srv.config
+    return oracles.HdsState(
+        buf.data, buf.page_map, buf.write_cursor, buf.overflow_number,
+        srv.status().halted, cfg.mode, cfg.integration_window,
+        cfg.slope_check, cfg.threshold, cfg.slope_sign)
 
 
 class TestWords:
@@ -262,6 +279,21 @@ class TestQueries:
             expect = (((a & 0xFFFF) << 16) | (b & 0xFFFF)).astype(np.uint32)
             np.testing.assert_array_equal(srv.query_samples(0, tags), expect)
 
+    @pytest.mark.parametrize("slope", [False, True])
+    @pytest.mark.parametrize("window", [1, 4, 5, 8])
+    def test_integrated_words_match_the_oracle(self, window, slope):
+        # full-scale samples: windows of five and more saturate int16
+        srv = make_server(pages=16, integration_window=window,
+                          slope_check=slope)
+        rng = np.random.default_rng(window)
+        half = srv.buffer.half
+        fill_first_half(srv, hds.pack_words(
+            *rng.choice([-8192, -8000, 8000, 8191], size=(2, half))))
+        tags = np.append(rng.integers(0, half - window + 1, 300), 0)
+        state = oracle_state(srv)
+        assert srv.query_samples(0, tags).tolist() == [
+            oracles.hds_sample_word(state, int(t)) for t in tags]
+
     def test_active_half_refused(self):
         srv = make_server(pages=64)
         fill_first_half(srv)
@@ -340,6 +372,58 @@ class TestSlopeCheck:
         marked = hds.is_placeholder(out)
         expect = (tags >= ramp) & (tags < period)
         np.testing.assert_array_equal(marked, expect)
+
+    def test_timetag_zero_is_never_a_flyback(self):
+        # after a wrap the sample before tag 0 in time is the buffer's last
+        # tag; a higher drive code there still leaves tag 0 alone
+        srv = make_server(pages=4, slope_check=True)
+        cap, half = srv.buffer.capacity, srv.buffer.half
+        drive = np.zeros(cap, dtype=np.int64)
+        drive[-1] = 8000
+        srv.ingest(hds.pack_words(np.zeros(cap), drive))       # epoch 0
+        drive = np.zeros(half + 1, dtype=np.int64)
+        drive[:3] = -8000, -8000, -8100
+        srv.ingest(hds.pack_words(np.zeros(half + 1), drive))  # epoch 1
+        tags = np.arange(4)
+        out = srv.query_samples(1, tags)
+        np.testing.assert_array_equal(hds.is_placeholder(out),
+                                      [False, False, True, False])
+        state = oracle_state(srv)
+        assert out.tolist() == [oracles.hds_sample_word(state, t)
+                                for t in tags.tolist()]
+
+    def test_page_start_compares_with_the_previous_logical_page(self):
+        # a page's first tag compares with the last word of the logical
+        # page before it, which the scattered page map stores elsewhere
+        srv = make_server(pages=16, slope_check=True)
+        half, pm = srv.buffer.half, srv.buffer.page_map
+        drive = np.arange(half) - half // 2         # rising: no flyback ...
+        drive[3 * hds.PAGE_WORDS] = -8000           # ... but at one page start
+        fill_first_half(srv, hds.pack_words(np.zeros(half), drive))
+        starts = np.arange(hds.PAGE_WORDS, half, hds.PAGE_WORDS)
+        out = srv.query_samples(0, starts)
+        np.testing.assert_array_equal(starts[hds.is_placeholder(out)],
+                                      [3 * hds.PAGE_WORDS])
+        state = oracle_state(srv)
+        assert out.tolist() == [oracles.hds_sample_word(state, t)
+                                for t in starts.tolist()]
+        # the word stored just before each page start is another logical
+        # page's, and comparing with it would mark other page starts
+        addr = pm[starts // hds.PAGE_WORDS] * hds.PAGE_WORDS
+        assert np.all(pm[starts // hds.PAGE_WORDS - 1] + 1
+                      != pm[starts // hds.PAGE_WORDS])
+        _, stored_prev = hds.unpack_words(srv.buffer.data[addr - 1])
+        assert np.any((drive[starts] < stored_prev)
+                      != hds.is_placeholder(out))
+
+    def test_slope_checked_query_reads_once(self):
+        # the words and their predecessors come from one gather
+        srv = make_server(pages=16, slope_check=True)
+        fill_first_half(srv)
+        read, calls = srv.buffer.read, []
+        srv.buffer.read = lambda tags: calls.append(tags.size) or read(tags)
+        srv.query_samples(0, np.array([0, 5, hds.PAGE_WORDS, 3000]))
+        assert calls == [8]
 
 
 class TestThresholdScan:
@@ -492,6 +576,63 @@ class TestProtocol:
         # tag 0 already holds the epoch-1 word
         assert hds.unpack_words(read(np.array([0])))[0][0] == 77
 
+    @pytest.mark.parametrize("cfg, lapped_read", [
+        (dict(slope_check=True), 1),
+        (dict(integration_window=3, slope_check=True), 3),
+    ], ids=["slope", "window3"])
+    def test_lap_during_a_slope_or_window_read_is_stale(self, cfg,
+                                                        lapped_read):
+        # the writer laps during the query's last read: the one gather of
+        # words and slope neighbours, or the integrated window's third
+        srv = make_server(pages=4, **cfg)
+        fill_first_half(srv)
+        half, read, calls = srv.buffer.half, srv.buffer.read, []
+
+        def lapping_read(tags):
+            calls.append(tags.size)
+            if len(calls) == lapped_read:
+                srv.ingest(hds.pack_words(np.full(half, 77), np.zeros(half)))
+            return read(tags)
+
+        srv.buffer.read = lapping_read
+        status, _, payload = proto.decode_response(srv.handle_request(
+            proto.encode_query(0, np.arange(10)), hds.ConnectionState()))
+        assert status is proto.Status.STALE_OVERFLOW and payload.size == 0
+        assert len(calls) == lapped_read
+
+    @pytest.mark.parametrize("halted", [False, True])
+    @pytest.mark.parametrize("halves, extra",
+                             [(0, 5), (1, 0), (1, 1), (2, 0), (2, 5),
+                              (3, 1)])
+    def test_epoch_edges_match_the_oracle(self, halves, extra, halted):
+        # every verdict where it can change: at the half boundary, the
+        # cursor and the buffer's ends, for sample queries and scans, with
+        # the writer before the first wrap, at and past a half boundary
+        srv = make_server(pages=4, slope_check=True)
+        half, cap = srv.buffer.half, srv.buffer.capacity
+        srv.ingest(noise_words(halves * half + extra))
+        if halted:
+            srv.control("HALT")
+        cursor = srv.buffer.write_cursor
+        edges = sorted({0, half - 2, half - 1, half, half + 1,
+                        max(cursor - 1, 0), cursor, cap - 1})
+        for mode, window in (("samples", 1), ("samples", 2),
+                             ("threshold", 1)):
+            srv.config.mode, srv.config.integration_window = mode, window
+            state = oracle_state(srv)
+            payloads = (itertools.chain(itertools.combinations(edges, 1),
+                                        itertools.combinations(edges, 2))
+                        if mode == "samples" else
+                        itertools.combinations(edges + [cap], 2))
+            for tags in payloads:
+                for ovf in (0, 1, hds.OVERFLOW_MASK):
+                    body = proto.encode_query(ovf, tags)
+                    status, echo, payload = proto.decode_response(
+                        srv.handle_request(body, hds.ConnectionState()))
+                    want = oracles.hds_reply(state, None, body)[:3]
+                    assert [status, echo, payload.tolist()] == list(want), (
+                        mode, window, tags, ovf)
+
     _CAP16 = 16 * hds.PAGE_WORDS
     _WORD = st.one_of(st.just(proto.KEYWORD), st.integers(0, 2),
                       st.integers(0, _CAP16 - 1),
@@ -502,24 +643,31 @@ class TestProtocol:
                            max_size=4),
            mode=st.sampled_from(["samples", "threshold"]),
            window=st.integers(1, 4), slope=st.booleans(),
-           halted=st.booleans())
+           halted=st.booleans(), lapped=st.booleans())
     @settings(max_examples=400, deadline=None)
     def test_every_request_gets_one_response(self, frames, mode, window,
-                                             slope, halted):
-        # protocol totality: one well-formed reply per random frame
+                                             slope, halted, lapped):
+        # protocol totality: one well-formed reply per random frame, with
+        # the status, echo and payload the tag-by-tag oracle derives
         srv = make_server(pages=16, mode=mode, integration_window=window,
                           slope_check=slope)
-        fill_first_half(srv)
+        fill_first_half(srv, noise_words(srv.buffer.half))
+        if lapped:      # epoch 1 below the cursor, epoch 0 above it
+            srv.ingest(noise_words(srv.buffer.capacity, seed=1))
         if halted:
             srv.control("HALT")
-        conn = hds.ConnectionState()
+        state = oracle_state(srv)
+        conn, conn_overflow = hds.ConnectionState(), None
         for frame in frames:
             body = np.array(frame, dtype=np.uint32)
-            status, _, payload = proto.decode_response(
+            status, echo, payload = proto.decode_response(
                 srv.handle_request(body, conn))
             if status is proto.Status.OK and mode == "samples":
                 keyed = body.size and body[0] == proto.KEYWORD
                 assert payload.size == body.size - (2 if keyed else 0)
+            *want, conn_overflow = oracles.hds_reply(state, conn_overflow,
+                                                     body)
+            assert [status, echo, payload.tolist()] == want
 
     def test_status_snapshot_fresh(self):
         srv = make_server(pages=64)
@@ -765,6 +913,18 @@ class TestMoreProtocolEdges:
                         dtype=np.uint32)
         status, _, _ = proto.decode_response(srv.handle_request(body, conn))
         assert status is proto.Status.RANGE
+
+    @pytest.mark.parametrize("halted", [False, True])
+    def test_negative_timetag_is_range(self, halted):
+        # the wire carries uint32 timetags, the Python API any integer
+        srv = make_server(pages=4, integration_window=2, slope_check=True)
+        fill_first_half(srv)
+        if halted:
+            srv.control("HALT")
+        for tags in ([-1], [5, -1], [-2 ** 40]):
+            with pytest.raises(hds.ProtocolError) as info:
+                srv.query_samples(0, tags)
+            assert info.value.status is proto.Status.RANGE
 
     def test_adc_range_flag_per_half(self):
         # 8192 and -8193 in the homodyne half, then in the drive half
