@@ -121,7 +121,7 @@ def cmd_witness(args):
 
 
 def cmd_contours(args):
-    table = ng_metrics.contour_table(lam_step=args.step, eta_step=args.step)
+    table = ng_metrics.contour_table(args.step)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(table)

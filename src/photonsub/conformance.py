@@ -99,9 +99,9 @@ def check_continuation(server, client):
 
 
 def check_slope_placeholder_rate(server, client):
-    """0.1% +/- 0.05% placeholder words with a 10-kHz drive at
-    reset_fraction 0.001."""
-    drive = PhaseDrive(ramp_frequency_hz=10_000.0, reset_fraction=0.001)
+    """0.1% +/- 0.05% placeholder words with a 10-kHz drive, whose
+    flyback is RESET_FRACTION = 0.001 of each period."""
+    drive = PhaseDrive(ramp_frequency_hz=10_000.0)
     half = server.buffer.half
     t = np.arange(half + 1)
     code = drive.evaluate(t)[1]

@@ -87,7 +87,7 @@ def run_delay_calibration(rig: Rig, pulses_wanted: int = 10_000):
         # a halted server serves the written words of an unsealed half
         control(client, "HALT")
         client.set_config(mode="threshold", threshold=THERMAL_THRESHOLD_CODE,
-                          slope="RISING")
+                          slope_sign=+1)
         crossings = client.threshold_scan(0, 0, span)
         client.set_config(mode="samples")
         control(client, "RESUME")

@@ -14,7 +14,8 @@ import socket
 import numpy as np
 
 from . import protocol as proto
-from .server import ConnectionState, HomodyneServer
+from ..textcontrol import show
+from .server import SETTINGS, ConnectionState, HomodyneServer
 from .words import WORD_DTYPE
 
 QUERY_BATCH_WORDS = 16_000      # words per fragment of a large query
@@ -103,17 +104,18 @@ class HdsClient:
     def control(self, line: str) -> str:
         return self.transport.control(line)
 
-    def set_config(self, **kwargs) -> None:
-        names = {"integration_window": "INTWIN", "slope_check": "SLOPECHK",
-                 "threshold": "THRESH", "slope": "SLOPE", "mode": "MODE"}
-        for key, val in kwargs.items():
-            if key not in names:
-                raise ValueError(f"unknown config key {key}")
-            if key == "slope_check":
-                val = int(bool(val))
-            reply = self.control(f"SET {names[key]} {val}")
+    def set_config(self, **fields) -> None:
+        """SET each ServerConfig field, its value sent in the text form
+        that GET shows."""
+        keys = {field: (key, forms)
+                for key, (field, forms) in SETTINGS.items()}
+        for name, value in fields.items():
+            if name not in keys:
+                raise ValueError(f"unknown config field {name}")
+            key, forms = keys[name]
+            reply = self.control(f"SET {key} {show(forms, value)}")
             if reply != "OK":
-                raise RuntimeError(f"control rejected {key}: {reply}")
+                raise RuntimeError(f"control rejected {name}: {reply}")
 
     def status(self) -> dict:
         reply = self.control("STATUS")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..textcontrol import ON_OFF, get_reply, parse, parse_set
 from . import protocol as proto
 from .buffer import DEFAULT_PAGES, OVERFLOW_MASK, PAGE_WORDS, RingBuffer
 from .words import (ADC_MAX, ADC_MIN, DRIVE, HALF_DTYPE, PLACEHOLDER_WORD,
@@ -41,8 +42,18 @@ class ServerConfig:
     integration_window: int = 1
     slope_check: bool = False
     threshold: int = 2000
-    slope_sign: int = +1          # +1 rising, -1 falling
-    mode: str = "samples"         # "samples" | "threshold"
+    slope_sign: int = +1
+    mode: str = "samples"
+
+
+# the control port's keys: key -> (ServerConfig field, its text forms)
+SETTINGS = {
+    "INTWIN": ("integration_window", range(1, MAX_INTEGRATION_WINDOW + 1)),
+    "SLOPECHK": ("slope_check", ON_OFF),
+    "THRESH": ("threshold", range(ADC_MIN, ADC_MAX + 1)),
+    "SLOPE": ("slope_sign", {"RISING": +1, "FALLING": -1}),
+    "MODE": ("mode", {"SAMPLES": "samples", "THRESHOLD": "threshold"}),
+}
 
 
 @dataclass
@@ -70,10 +81,9 @@ class ConnectionState:
 
 
 class HomodyneServer:
-    def __init__(self, pages: int = DEFAULT_PAGES, page_map_seed: int = 0,
-                 config: ServerConfig | None = None):
+    def __init__(self, pages: int = DEFAULT_PAGES, page_map_seed: int = 0):
         self.buffer = RingBuffer(pages=pages, page_map_seed=page_map_seed)
-        self.config = config or ServerConfig()
+        self.config = ServerConfig()
         self._lock = threading.Lock()
         self._halted = False
         self._fifo_overflow = False
@@ -210,10 +220,13 @@ class HomodyneServer:
         # the words and, for the slope check, their predecessors in one
         # gather, a row each (as one flat vector the same gather made
         # 16,000-tag requests over the wire ~20% slower); timetag 0 is its
-        # own predecessor, so never a flyback
-        got = self.buffer.read(np.concatenate((tags, np.maximum(tags - 1, 0)))
-                               .reshape(2, *tags.shape) if slope else tags)
-        raw = got[0] if slope else got
+        # own predecessor, so never a flyback.  axis=None takes a scalar tag
+        # too (np.stack builds the same rows, ~1.7 us slower per call), and
+        # row 0 of a scalar is a 0-d view the flyback mask can write
+        got = self.buffer.read(
+            np.concatenate((tags, np.maximum(tags - 1, 0)), axis=None)
+            .reshape(2, *tags.shape) if slope else tags)
+        raw = got[0, ...] if slope else got
         words = (self._integrated_words(tags, raw, window)
                  if window > 1 else raw)
         if slope:
@@ -247,10 +260,8 @@ class HomodyneServer:
         if not (0 <= start < end <= self.buffer.capacity):
             raise proto.ProtocolError(proto.Status.RANGE, "bad scan range")
         mark = self._require_readable(overflow, start, end - 1)
-        with self._lock:
-            thr = self.config.threshold
-            sign = self.config.slope_sign
-        s = 1 if sign >= 0 else -1      # falling: rising when negated
+        with self._lock:        # falling (-1): rising when negated
+            thr, s = self.config.threshold, self.config.slope_sign
         hits = [np.zeros(0, dtype=np.int64)]
         # blocks overlap by one word: a crossing needs its previous sample
         for lo in range(start, end - 1, SCAN_BLOCK_WORDS):
@@ -307,10 +318,10 @@ class HomodyneServer:
         parts = line.strip().split()
         if not parts:
             return "ERR empty command"
-        cmd = parts[0].upper()
+        cmd, args = parts[0].upper(), parts[1:]
         try:
             if cmd == "START":
-                self.start_run(int(parts[1]) if len(parts) > 1 else 0)
+                self.start_run(parse(int, args[0]) if args else 0)
                 return "OK"
             with self._lock:
                 if cmd == "STATUS":
@@ -334,45 +345,13 @@ class HomodyneServer:
                     self._halted = False
                     return "OK"
                 if cmd == "SET":
-                    return self._set(parts[1].upper(), parts[2:])
+                    setattr(self.config, *parse_set(SETTINGS, args))
+                    return "OK"
                 if cmd == "GET":
-                    return self._get(parts[1].upper())
-        except (IndexError, ValueError) as err:
+                    return get_reply(SETTINGS, args, self.config)
+        except ValueError as err:
             return f"ERR {err}"
         return f"ERR unknown command {cmd}"
-
-    def _set(self, key: str, args) -> str:
-        if key == "INTWIN":
-            w = int(args[0])
-            if not 1 <= w <= MAX_INTEGRATION_WINDOW:
-                return f"ERR window must be in [1, {MAX_INTEGRATION_WINDOW}]"
-            self.config.integration_window = w
-        elif key == "SLOPECHK":
-            self.config.slope_check = args[0] not in ("0", "OFF", "off")
-        elif key == "THRESH":
-            self.config.threshold = int(args[0])
-        elif key == "SLOPE":
-            self.config.slope_sign = +1 if args[0].upper() == "RISING" else -1
-        elif key == "MODE":
-            mode = args[0].lower()
-            if mode not in ("samples", "threshold"):
-                return "ERR mode must be SAMPLES or THRESHOLD"
-            self.config.mode = mode
-        else:
-            return f"ERR unknown key {key}"
-        return "OK"
-
-    def _get(self, key: str) -> str:
-        vals = {
-            "INTWIN": self.config.integration_window,
-            "SLOPECHK": int(self.config.slope_check),
-            "THRESH": self.config.threshold,
-            "SLOPE": "RISING" if self.config.slope_sign >= 0 else "FALLING",
-            "MODE": self.config.mode.upper(),
-        }
-        if key not in vals:
-            return f"ERR unknown key {key}"
-        return str(vals[key])
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ __all__ = [
 ]
 
 _ADC_CODES = ADC_CODE_MAX - ADC_CODE_MIN + 1
-GRID_STEP, GRID_MASS_TOL = 0.02, 1e-4   # sampler cell width, missing mass
+# sampler grid ends and cell width, and the mass it may miss
+GRID_MIN, GRID_MAX, GRID_STEP, GRID_MASS_TOL = -6.0, 6.0, 0.02, 1e-4
+RESET_FRACTION = 0.001      # flyback share of each phase-drive period
 # sample_batch: DRAW_BLOCK fixes the order the uniforms are read in, so
 # changing it changes the draws; COMPUTE_BLOCK draws per task, any value
 # gives the same draws
@@ -40,7 +42,7 @@ COMPUTE_BLOCK = 1024
 
 
 class GridMassError(ValueError):
-    """The sampling grid misses too much probability mass; widen it."""
+    """The sampling grid misses too much of the state's probability mass."""
 
 
 def hermite_functions(n_max: int, x) -> np.ndarray:
@@ -139,8 +141,8 @@ class PairCoordinates:
 class QuadratureSampler:
     """Inverse-CDF sampler for joint homodyne outcomes of a two-mode state.
 
-    Cell probabilities come from the joint density on a square grid
-    (default [-6, 6], step GRID_STEP); a draw picks the x1 cell from the
+    Cell probabilities come from the joint density on the square grid
+    [GRID_MIN, GRID_MAX] with step GRID_STEP; a draw picks the x1 cell from the
     grid marginal, the x2 cell from that row, and jitters uniformly within
     the cell.  In pair coordinates the x1 mass up to cell k is
     C_k . fold_theta1(K s(theta2)), with C the prefix sums of the grid's
@@ -150,10 +152,9 @@ class QuadratureSampler:
     work.
     """
 
-    def __init__(self, state: TwoModeState, grid_min: float = -6.0,
-                 grid_max: float = 6.0):
+    def __init__(self, state: TwoModeState):
         self.state = state
-        self.grid = np.arange(grid_min, grid_max + GRID_STEP / 2, GRID_STEP)
+        self.grid = np.arange(GRID_MIN, GRID_MAX + GRID_STEP / 2, GRID_STEP)
         self._pairs = PairCoordinates(state.n_c)
         self._gamma = self._pairs.products(self.grid)
         self._cum = np.cumsum(self._gamma, axis=0)
@@ -167,8 +168,8 @@ class QuadratureSampler:
         for a, b, total in zip(th1, th2, totals):
             if total < 1.0 - GRID_MASS_TOL:
                 raise GridMassError(
-                    f"grid holds {total:.6f} of unit mass at phases "
-                    f"({a:.2f}, {b:.2f}); widen the grid")
+                    f"grid [{GRID_MIN}, {GRID_MAX}] holds {total:.6f} of "
+                    f"unit mass at phases ({a:.2f}, {b:.2f})")
 
     def sample_batch(self, theta1, theta2, rng: np.random.Generator):
         """Vectorized draws, one per phase pair; deterministic given the
@@ -231,15 +232,13 @@ class PhaseDrive:
     The drive is sampled on the HDS timetag clock (SAMPLE_RATE_HZ) and
     mirrored on a 14-bit ADC channel: the code sweeps the full range over
     the ramp, from phase 0 at code ADC_CODE_MIN, and retraces during the
-    flyback at roughly -(1/reset_fraction) times the ramp slope.
+    flyback, RESET_FRACTION of each period, at roughly -(1/RESET_FRACTION)
+    times the ramp slope.
     """
 
     ramp_frequency_hz: float
-    reset_fraction: float = 0.001
 
     def __post_init__(self):
-        if not 0.0 < self.reset_fraction <= 0.01:
-            raise ValueError("reset_fraction must lie in (0, 0.01]")
         if self.ramp_frequency_hz <= 0:
             raise ValueError("ramp frequency must be positive")
 
@@ -253,7 +252,7 @@ class PhaseDrive:
 
     @property
     def flyback_samples(self) -> int:
-        return max(1, int(round(self.period_samples * self.reset_fraction)))
+        return max(1, int(round(self.period_samples * RESET_FRACTION)))
 
     @cached_property
     def period_table(self):

@@ -181,18 +181,19 @@ def witness_lambda_crossings(eta: float = 1.0, n: int = 1,
     return float(lo), float(hi)
 
 
-def contour_table(ns=(0, 1, 2), lam_step: float = 0.02, eta_step: float = 0.02) -> str:
-    """Plot-ready text table of F_{n,n}(lambda, eta) triplets.
+def contour_table(step: float) -> str:
+    """Plot-ready text table of F_{n,n}(lambda, eta) triplets for n = 0, 1,
+    2, with lambda and eta on one grid of spacing `step`.
 
     Columns: n, lambda, eta, fidelity; one row per grid point, blocks
     separated by blank lines per n.
     """
     lines = ["# n lambda eta fidelity_with_fock11"]
-    lams = np.arange(0.0, 0.98 + lam_step / 2, lam_step)
+    lams = np.arange(0.0, 0.98 + step / 2, step)
     lams = lams[lams < 1.0]
-    etas = np.arange(0.0, 1.0 + eta_step / 2, eta_step)
+    etas = np.arange(0.0, 1.0 + step / 2, step)
     etas = np.clip(etas, 0.0, 1.0)
-    for n in ns:
+    for n in (0, 1, 2):
         for lam in lams:
             for eta in etas:
                 f = fock11_fidelity_closed(float(lam), float(eta), n)

@@ -20,6 +20,7 @@ import numpy as np
 from ..hds import protocol as hds_protocol
 from ..hds.buffer import DEFAULT_PAGES, PAGE_WORDS
 from ..hds.words import is_placeholder, unpack_words
+from ..textcontrol import ON_OFF, get_reply, parse, parse_set, show
 from .centroid import SUM_MASK, signature_class
 from .pipeline import (EVENT_DTYPE, TREE_DETECTORS, coincidence_gate,
                        coincidence_pipeline, hold_time_filter,
@@ -63,6 +64,18 @@ class PsoRunConfig:
         zero_detection_tags(self.zero_detection_rate, (0, 0), 1, (), 0, None)
 
 
+# the console's keys but SEEDWIN: key -> (PsoRunConfig field, its text
+# forms); PsoRunConfig checks the ranges
+SETTINGS = {
+    "DELAYA": ("delay_a", int),
+    "DELAYB": ("delay_b", int),
+    "HOLD": ("hold_bins", int),
+    "ZDR": ("zero_detection_rate", int),
+    "KEEPLEADER": ("keep_leader", ON_OFF),
+    "MODE": ("coincidence_only", {"COINC": True, "SINGLES": False}),
+}
+
+
 class PsoConsole:
     """Live text control over the run configuration.
 
@@ -82,57 +95,36 @@ class PsoConsole:
         parts = line.strip().split()
         if not parts:
             return "ERR empty command"
-        cmd = parts[0].upper()
+        cmd, args = parts[0].upper(), parts[1:]
         try:
             with self._lock:
                 if cmd == "GET":
-                    return self._get(parts[1].upper())
+                    return get_reply(SETTINGS, args, self._config)
                 if cmd == "SET":
-                    return self._set(parts[1].upper(), parts[2:])
+                    if args and args[0].upper() == "SEEDWIN":
+                        self._config = self._seed_window(args[1:])
+                    else:
+                        name, value = parse_set(SETTINGS, args)
+                        self._config = replace(self._config, **{name: value})
+                    return "OK"
                 if cmd == "STATUS":
-                    c = self._config
-                    return (f"DELAYS {c.delay_a} {c.delay_b} HOLD {c.hold_bins} "
-                            f"ZDR {c.zero_detection_rate} MODE "
-                            f"{'COINC' if c.coincidence_only else 'SINGLES'}")
-        except (IndexError, ValueError) as err:
+                    return " ".join(
+                        f"{key} {show(forms, getattr(self._config, field))}"
+                        for key, (field, forms) in SETTINGS.items())
+        except ValueError as err:
             return f"ERR {err}"
         return f"ERR unknown command {cmd}"
 
-    def _set(self, key, args) -> str:
-        c = self._config
-        if key == "DELAYA":
-            c = replace(c, delay_a=int(args[0]))
-        elif key == "DELAYB":
-            c = replace(c, delay_b=int(args[0]))
-        elif key == "HOLD":
-            c = replace(c, hold_bins=int(args[0]))
-        elif key == "ZDR":
-            c = replace(c, zero_detection_rate=int(args[0]))
-        elif key == "KEEPLEADER":
-            c = replace(c, keep_leader=args[0] not in ("0", "OFF", "off"))
-        elif key == "MODE":
-            c = replace(c, coincidence_only=args[0].upper() != "SINGLES")
-        elif key == "SEEDWIN":
-            if args[0].upper() == "OFF":
-                c = replace(c, seed_window_width=0)
-            else:
-                c = replace(c, seed_window_offset=int(args[0]),
-                            seed_window_width=int(args[1]),
-                            seed_window_period=int(args[2]))
-        else:
-            return f"ERR unknown key {key}"
-        self._config = c
-        return "OK"
-
-    def _get(self, key) -> str:
-        c = self._config
-        vals = {"DELAYA": c.delay_a, "DELAYB": c.delay_b, "HOLD": c.hold_bins,
-                "ZDR": c.zero_detection_rate,
-                "KEEPLEADER": int(c.keep_leader),
-                "MODE": "COINC" if c.coincidence_only else "SINGLES"}
-        if key not in vals:
-            return f"ERR unknown key {key}"
-        return str(vals[key])
+    def _seed_window(self, args) -> PsoRunConfig:
+        """SET SEEDWIN OFF, or SET SEEDWIN <offset> <width> <period>."""
+        if len(args) == 1 and args[0].upper() == "OFF":
+            return replace(self._config, seed_window_width=0)
+        if len(args) != 3:
+            raise ValueError("SET SEEDWIN needs OFF or offset, width and "
+                             "period")
+        offset, width, period = (parse(int, text) for text in args)
+        return replace(self._config, seed_window_offset=offset,
+                       seed_window_width=width, seed_window_period=period)
 
 
 class PsoEngine:

@@ -12,16 +12,18 @@ from hypothesis import strategies as st
 
 from photonsub import hds
 from photonsub.hds import protocol as proto
-from photonsub.hds.server import MAX_INTEGRATION_WINDOW, SCAN_BLOCK_WORDS
+from photonsub.hds.server import (MAX_INTEGRATION_WINDOW, SCAN_BLOCK_WORDS,
+                                  SETTINGS)
 from photonsub.hds.words import WORD_DTYPE
+from photonsub.textcontrol import parse
 from photonsub.homodyne_model import PhaseDrive
 import hds_test_vectors as tv
 import oracles
 
 
 def make_server(pages=64, **cfg):
-    srv = hds.HomodyneServer(pages=pages,
-                             config=hds.ServerConfig(**cfg) if cfg else None)
+    srv = hds.HomodyneServer(pages=pages)
+    srv.config = hds.ServerConfig(**cfg)
     srv.start_run()
     return srv
 
@@ -347,7 +349,7 @@ class TestSlopeCheck:
     def _drive_filled_server(self, pages=2048):
         # 10-kHz sawtooth on the drive ADC channel
         srv = make_server(pages=pages, slope_check=True)
-        drive = PhaseDrive(ramp_frequency_hz=10_000.0, reset_fraction=0.001)
+        drive = PhaseDrive(ramp_frequency_hz=10_000.0)
         half = srv.buffer.half
         t = np.arange(half + 1)
         _, code, _ = drive.evaluate(t)
@@ -716,6 +718,90 @@ class TestControlPlane:
         assert srv.control(f"SET INTWIN {MAX_INTEGRATION_WINDOW}") == "OK"
         assert srv.control("GET INTWIN") == str(MAX_INTEGRATION_WINDOW)
 
+    # (key, SET text, GET reply), every key of the settings table
+    _ROUND_TRIPS = [
+        ("INTWIN", "7", "7"), ("INTWIN", str(MAX_INTEGRATION_WINDOW),
+                               str(MAX_INTEGRATION_WINDOW)),
+        ("INTWIN", "1", "1"),
+        ("SLOPECHK", "on", "1"), ("SLOPECHK", "Off", "0"),
+        ("SLOPECHK", "1", "1"), ("SLOPECHK", "0", "0"),
+        ("THRESH", "-8192", "-8192"), ("THRESH", "8191", "8191"),
+        ("THRESH", "1500", "1500"),
+        ("SLOPE", "falling", "FALLING"), ("SLOPE", "Rising", "RISING"),
+        ("MODE", "threshold", "THRESHOLD"), ("MODE", "Samples", "SAMPLES"),
+    ]
+
+    def test_every_key_round_trips(self):
+        srv = make_server(pages=16)
+        assert {key for key, _, _ in self._ROUND_TRIPS} == set(SETTINGS)
+        for key, text, shown in self._ROUND_TRIPS:
+            assert srv.control(f"SET {key} {text}") == "OK"
+            assert srv.control(f"get {key.lower()}") == shown
+
+    # (ServerConfig field, value), every field of the settings table
+    _FIELD_VALUES = [
+        ("integration_window", 7), ("integration_window", 1),
+        ("slope_check", True), ("slope_check", False),
+        ("threshold", -8192), ("threshold", 4000),
+        ("slope_sign", -1), ("slope_sign", +1),
+        ("mode", "threshold"), ("mode", "samples"),
+    ]
+
+    @pytest.mark.parametrize("transport", ["in-process", "socket"])
+    def test_set_config_round_trips(self, transport):
+        core = make_server(pages=16)
+        wire = (hds.HdsSocketServer(core).start() if transport == "socket"
+                else None)
+        try:
+            client = hds.HdsClient(
+                hds.InProcessTransport(core) if wire is None else
+                hds.SocketTransport(wire.data_address, wire.control_address))
+            keys = {field: key for key, (field, _) in SETTINGS.items()}
+            assert {name for name, _ in self._FIELD_VALUES} == set(keys)
+            for name, value in self._FIELD_VALUES:
+                client.set_config(**{name: value})
+                got = getattr(core.config, name)
+                assert got == value and type(got) is type(value)
+                forms = SETTINGS[keys[name]][1]
+                assert parse(forms, client.control(f"GET {keys[name]}")) \
+                    == value
+            with pytest.raises(ValueError, match="unknown config field"):
+                client.set_config(slope="RISING")
+            with pytest.raises(RuntimeError, match="control rejected mode"):
+                client.set_config(mode="banana")
+            assert core.config.mode == "samples"
+            client.close()
+        finally:
+            if wire is not None:
+                wire.stop()
+
+    @pytest.mark.parametrize("command", [
+        "SET SLOPE banana", "SET SLOPE up", "SET SLOPECHK false",
+        "SET SLOPECHK yes", "SET SLOPECHK 2", "SET MODE banana",
+        "SET MODE COINC", "SET THRESH 8192", "SET THRESH -8193",
+        "SET THRESH 1e3", "SET INTWIN 1.5", "SET INTWIN 4 5",
+        "SET SLOPE RISING FALLING"])
+    def test_bad_value_is_refused(self, command):
+        # any text but the key's own forms: ERR, and no setting moves
+        srv = make_server(pages=16)
+        assert srv.control(command).startswith("ERR ")
+        assert srv.config == hds.ServerConfig()
+
+    @pytest.mark.parametrize("text, on", [
+        ("0", False), ("1", True), ("off", False), ("OFF", False),
+        ("Off", False), ("on", True), ("ON", True), ("oN", True)])
+    def test_slope_check_switch_spellings(self, text, on):
+        srv = make_server(pages=16, slope_check=not on)
+        assert srv.control(f"SET SLOPECHK {text}") == "OK"
+        assert srv.config.slope_check is on
+
+    @pytest.mark.parametrize("command, missing", [
+        ("SET", "key"), ("SET INTWIN", "value"), ("set slope", "value"),
+        ("GET", "key")])
+    def test_missing_key_or_value_is_named(self, command, missing):
+        reply = make_server(pages=16).control(command)
+        assert reply.startswith("ERR ") and missing in reply
+
     _ARG = st.one_of(
         st.integers(-2 ** 80, 2 ** 80).map(str),
         st.sampled_from(["SAMPLES", "THRESHOLD", "RISING", "FALLING", "OFF",
@@ -733,9 +819,21 @@ class TestControlPlane:
     @settings(max_examples=300, deadline=None)
     def test_control_fuzz_one_reply(self, verb, key, args):
         srv = make_server(pages=16)
+        fill_first_half(srv, noise_words(srv.buffer.half))
         reply = srv.control(" ".join([verb, key, *args]))
         assert isinstance(reply, str)
         assert srv.control("STATUS").startswith("OVF ")
+        # whatever settings the command left, a sealed-half sample query
+        # and a threshold scan each get one decodable reply
+        tags = np.arange(0, srv.buffer.half, 97)
+        for mode, body in (("samples", proto.encode_query(0, tags)),
+                           ("threshold", proto.encode_scan(
+                               0, 0, srv.buffer.half))):
+            srv.config.mode = mode
+            status, _, payload = proto.decode_response(
+                srv.handle_request(body, hds.ConnectionState()))
+            if status is proto.Status.OK and mode == "samples":
+                assert payload.size == tags.size
 
 
 class TestSocketTransport:
@@ -780,7 +878,7 @@ class TestSocketTransport:
             np.testing.assert_array_equal(client.query_samples(0, tags),
                                           pattern[tags])
             client.set_config(mode="threshold", threshold=4000,
-                              slope="RISING")
+                              slope_sign=+1)
             crossings = client.threshold_scan(0, 0, core.buffer.half)
             assert crossings.size > 0
             client.close()
@@ -925,6 +1023,19 @@ class TestMoreProtocolEdges:
             with pytest.raises(hds.ProtocolError) as info:
                 srv.query_samples(0, tags)
             assert info.value.status is proto.Status.RANGE
+
+    @pytest.mark.parametrize("window", [1, 3])
+    @pytest.mark.parametrize("slope", [False, True])
+    def test_scalar_timetag_answers_one_word(self, slope, window):
+        # a scalar tag answers the word a one-tag query answers, with
+        # shape (), with slope checking on or off
+        srv = make_server(pages=4, integration_window=window,
+                          slope_check=slope)
+        fill_first_half(srv, noise_words(srv.buffer.half))
+        for tag in range(40):
+            got = srv.query_samples(0, tag)
+            assert np.shape(got) == ()
+            assert got == srv.query_samples(0, [tag])[0]
 
     def test_adc_range_flag_per_half(self):
         # 8192 and -8193 in the homodyne half, then in the drive half

@@ -234,9 +234,12 @@ class TestSampler:
         np.testing.assert_array_equal(got[1], want[1])
 
     def test_grid_mass_guard(self):
-        with pytest.raises(hm.GridMassError):
-            hm.QuadratureSampler(fc.TwoModeState.vacuum(2), grid_min=-0.5,
-                                 grid_max=0.5)
+        # |14,14> reaches past the grid's +/-6: it holds 0.9963 of the mass
+        st = fc.TwoModeState.vacuum(14)
+        st.matrix[0, 0] = 0.0
+        st.matrix[st.index(14, 14), st.index(14, 14)] = 1.0
+        with pytest.raises(hm.GridMassError, match="holds 0.9963"):
+            hm.QuadratureSampler(st)
 
 
 class TestPhaseDrive:
@@ -248,7 +251,7 @@ class TestPhaseDrive:
         assert in_ramp
 
     def test_flyback_fraction(self):
-        d = hm.PhaseDrive(ramp_frequency_hz=10_000.0, reset_fraction=0.001)
+        d = hm.PhaseDrive(ramp_frequency_hz=10_000.0)
         t = np.arange(d.period_samples * 50)
         _, _, in_ramp = d.evaluate(t)
         frac = 1.0 - in_ramp.mean()
@@ -289,9 +292,3 @@ class TestPhaseDrive:
                       (tha[ok] - thb[ok]) % (2 * pi)):
             counts, _ = np.histogram(joint, bins=bins)
             assert counts.max() / counts.min() < 1.5
-
-    def test_reset_fraction_validation(self):
-        with pytest.raises(ValueError):
-            hm.PhaseDrive(ramp_frequency_hz=1000.0, reset_fraction=0.05)
-        with pytest.raises(ValueError):
-            hm.PhaseDrive(ramp_frequency_hz=1000.0, reset_fraction=0.0)

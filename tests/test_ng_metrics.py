@@ -223,9 +223,12 @@ class TestWitness:
 
 class TestContourTable:
     def test_format_and_values(self):
-        txt = ng.contour_table(ns=(1,), lam_step=0.5, eta_step=0.5)
+        txt = ng.contour_table(0.5)
         lines = [l for l in txt.splitlines() if l and not l.startswith("#")]
-        cols = lines[1].split()
-        assert len(cols) == 4
-        n, lam, eta, f = int(cols[0]), float(cols[1]), float(cols[2]), float(cols[3])
-        assert f == pytest.approx(ng.fock11_fidelity_closed(lam, eta, n), abs=1e-8)
+        # n = 0, 1, 2 over lambda 0, 0.5 and eta 0, 0.5, 1
+        assert len(lines) == 3 * 2 * 3
+        for line in lines:
+            cols = line.split()
+            assert len(cols) == 4
+            n, lam, eta, f = int(cols[0]), float(cols[1]), float(cols[2]), float(cols[3])
+            assert f == pytest.approx(ng.fock11_fidelity_closed(lam, eta, n), abs=1e-8)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from photonsub import hds, pso
 from photonsub.pso.centroid import TRIGGER_BINS, in_trigger_bins, pack_windows
+from photonsub.pso.engine import SETTINGS
 from oracles import (centroid_bins, centroid_division_oracle,
                      dense_window_scan, unpack_signature)
 
@@ -309,6 +310,58 @@ class TestConsole:
         assert console.snapshot().seed_window_width == 5
         assert console.process_command("SET SEEDWIN OFF") == "OK"
         assert console.snapshot().seed_window_width == 0
+
+    # (key, SET text, GET reply), every key of the settings table
+    _ROUND_TRIPS = [
+        ("DELAYA", "-64", "-64"), ("DELAYA", "17", "17"),
+        ("DELAYB", "64", "64"), ("DELAYB", "0", "0"),
+        ("HOLD", "0", "0"), ("HOLD", "7", "7"),
+        ("ZDR", "500", "500"), ("ZDR", "0", "0"),
+        ("KEEPLEADER", "on", "1"), ("KEEPLEADER", "Off", "0"),
+        ("KEEPLEADER", "1", "1"), ("KEEPLEADER", "0", "0"),
+        ("MODE", "singles", "SINGLES"), ("MODE", "Coinc", "COINC"),
+    ]
+
+    def test_every_key_round_trips(self):
+        console = pso.PsoConsole(pso.PsoRunConfig())
+        assert {key for key, _, _ in self._ROUND_TRIPS} == set(SETTINGS)
+        for key, text, shown in self._ROUND_TRIPS:
+            assert console.process_command(f"SET {key} {text}") == "OK"
+            assert console.process_command(f"get {key.lower()}") == shown
+            assert f"{key} {shown}" in console.process_command("STATUS")
+
+    def test_status_line_shows_every_key(self):
+        console = pso.PsoConsole(pso.PsoRunConfig(delay_a=5, delay_b=-2))
+        assert console.process_command("SET KEEPLEADER ON") == "OK"
+        assert console.process_command("STATUS") == (
+            "DELAYA 5 DELAYB -2 HOLD 3 ZDR 0 KEEPLEADER 1 MODE COINC")
+
+    @pytest.mark.parametrize("command", [
+        "SET MODE banana", "SET MODE SAMPLES", "SET KEEPLEADER no",
+        "SET KEEPLEADER false", "SET KEEPLEADER 2", "SET DELAYA x",
+        "SET HOLD 1.5", "SET ZDR 1 2", "SET SEEDWIN 1 2",
+        "SET SEEDWIN OFF 5", "SET SEEDWIN 1 2 z"])
+    def test_bad_value_is_refused(self, command):
+        # any text but the key's own forms: ERR, and no setting moves
+        console = pso.PsoConsole(pso.PsoRunConfig())
+        assert console.process_command(command).startswith("ERR ")
+        assert console.snapshot() == pso.PsoRunConfig()
+
+    @pytest.mark.parametrize("text, on", [
+        ("0", False), ("1", True), ("off", False), ("OFF", False),
+        ("Off", False), ("on", True), ("ON", True), ("oN", True)])
+    def test_keep_leader_switch_spellings(self, text, on):
+        console = pso.PsoConsole(pso.PsoRunConfig(keep_leader=not on))
+        assert console.process_command(f"SET KEEPLEADER {text}") == "OK"
+        assert console.snapshot().keep_leader is on
+
+    @pytest.mark.parametrize("command, missing", [
+        ("SET", "key"), ("SET HOLD", "value"), ("set mode", "value"),
+        ("SET SEEDWIN", "OFF or offset, width and period"),
+        ("GET", "key")])
+    def test_missing_key_or_value_is_named(self, command, missing):
+        reply = pso.PsoConsole(pso.PsoRunConfig()).process_command(command)
+        assert reply.startswith("ERR ") and missing in reply
 
     def test_snapshot_is_immutable(self):
         console = pso.PsoConsole(pso.PsoRunConfig())
