@@ -105,7 +105,7 @@ def check_slope_placeholder_rate(server, client):
     half = server.buffer.half
     t = np.arange(half + 1)
     code = drive.evaluate(t)[1]
-    server.ingest_samples(np.zeros(t.size), code)
+    server.ingest_samples(np.zeros_like(code), code)
     client.set_config(slope_check=True)
     rng = np.random.default_rng(3)
     tags = rng.integers(1, half, size=SLOPE_CHECK_TAGS)

@@ -9,7 +9,7 @@ from .protocol import (KEYWORD, ActiveHalfError, IntegrityError,
 from .server import (ConnectionState, HdsSocketServer, HomodyneServer,
                      ServerConfig, StatusSnapshot)
 from .words import (ADC_MAX, ADC_MIN, PLACEHOLDER_HALF, PLACEHOLDER_WORD,
-                    is_placeholder, pack_words, unpack_words)
+                    is_placeholder, unpack_words)
 
 __all__ = [
     "DEFAULT_PAGES", "PAGE_WORDS", "OVERFLOW_MASK", "RingBuffer",
@@ -19,5 +19,5 @@ __all__ = [
     "HomodyneServer", "HdsSocketServer", "ServerConfig", "StatusSnapshot",
     "ConnectionState",
     "ADC_MIN", "ADC_MAX", "PLACEHOLDER_HALF", "PLACEHOLDER_WORD",
-    "pack_words", "unpack_words", "is_placeholder",
+    "unpack_words", "is_placeholder",
 ]

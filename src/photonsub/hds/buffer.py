@@ -4,7 +4,8 @@ The buffer holds one 32-bit word per 100-MHz timetag across 67,500 pages of
 1024 words (69,120,000 words, 0.6912 s per wrap).  Timetags map to storage
 through a page table, mirroring scattered physical page allocation: address
 = page_map[t / 1024] * 1024 + t mod 1024.  A 29-bit counter increments on
-every wrap and anchors query validity.
+every wrap and anchors query validity.  A write takes the two ADC halves
+of its words and puts each into its int16 column of the page rows.
 
 Storage is an anonymous mapping that the kernel zeroes page by page on
 first touch, so only pages written since the last reset are resident; a
@@ -20,7 +21,7 @@ import mmap
 
 import numpy as np
 
-from .words import WORD_DTYPE
+from .words import DRIVE, HOMODYNE, WORD_DTYPE, sample_view
 
 SAMPLE_RATE_HZ = 100e6      # timetag clock: one word per 10-ns bin
 DEFAULT_PAGES = 67_500
@@ -64,33 +65,32 @@ class RingBuffer:
         idx |= t & (PAGE_WORDS - 1)
         return idx
 
-    def write(self, words: np.ndarray) -> int:
-        """Append words at the cursor; returns the number of wraps taken.
-        No piece (whole pages, or part of one) crosses a half boundary, so
-        the cursor shows a half as active before any word lands in it."""
-        words = np.asarray(words, dtype=WORD_DTYPE).ravel()
-        rows = self.data.reshape(self.pages, PAGE_WORDS)
-        wraps = 0
+    def write(self, adc_a: np.ndarray, adc_b: np.ndarray):
+        """Append homodyne (a) and phase-drive (b) samples, 1-D arrays of
+        one length, at the cursor.  No piece (whole pages, or part of one)
+        crosses a half boundary, and the cursor moves once both columns of
+        a piece are written, so it shows a half as active before any sample
+        lands in it."""
+        rows = sample_view(self.data).reshape(self.pages, PAGE_WORDS, 2)
         pos = 0
-        while pos < words.size:
+        while pos < adc_a.size:
             page, off = divmod(self.write_cursor, PAGE_WORDS)
-            left = words.size - pos
-            if off == 0 and left >= PAGE_WORDS:
+            left = adc_a.size - pos
+            if off == 0 and left >= PAGE_WORDS:     # whole pages
                 k = min(left, self.half - self.write_cursor % self.half) \
                     // PAGE_WORDS
                 n = k * PAGE_WORDS
-                rows[self.page_map[page:page + k]] = \
-                    words[pos:pos + n].reshape(k, PAGE_WORDS)
-            else:
-                n = min(left, PAGE_WORDS - off)
-                rows[self.page_map[page], off:off + n] = words[pos:pos + n]
+            else:                                   # part of one page
+                k, n = 1, min(left, PAGE_WORDS - off)
+            pages = self.page_map[page:page + k]
+            for col, x in ((HOMODYNE, adc_a), (DRIVE, adc_b)):
+                rows[pages, off:off + n // k, col] = \
+                    x[pos:pos + n].reshape(k, -1)
             self.write_cursor += n
             pos += n
             if self.write_cursor == self.capacity:
                 self.write_cursor = 0
                 self.overflow_number = (self.overflow_number + 1) & OVERFLOW_MASK
-                wraps += 1
-        return wraps
 
     def read(self, timetags) -> np.ndarray:
         return self.data[self.physical_index(timetags)]

@@ -1,6 +1,6 @@
 """Homodyne detection server: buffer, query engine, control plane, sockets.
 
-The server ingests timetagged dual-ADC sample words into the paged ring
+The server ingests timetagged dual-ADC sample pairs into the paged ring
 buffer and answers binary timetag queries for the sealed (not currently
 written) half of the buffer.  Query processing modes: raw word, integrated
 window, slope-checked (phase-drive flyback samples replaced by the
@@ -25,9 +25,9 @@ from ..textcontrol import ON_OFF, get_reply, parse, parse_set
 from . import protocol as proto
 from .buffer import DEFAULT_PAGES, OVERFLOW_MASK, PAGE_WORDS, RingBuffer
 from .words import (ADC_MAX, ADC_MIN, DRIVE, HALF_DTYPE, PLACEHOLDER_WORD,
-                    WORD_DTYPE, pack_words, sample_view, unpack_words)
+                    WORD_DTYPE, sample_view, unpack_words)
 
-_HALF_RANGE = np.iinfo(HALF_DTYPE)     # what an integrated sum saturates at
+_HALF_RANGE = np.iinfo(HALF_DTYPE)  # an ADC half's range; sums saturate there
 # SET INTWIN ceiling: one page of words per integrated sample
 MAX_INTEGRATION_WINDOW = PAGE_WORDS
 # seconds between a serve loop's checks for stop()
@@ -102,19 +102,25 @@ class HomodyneServer:
         with self._lock:
             self.buffer.reset(start_cursor=residual_offset)
 
-    def ingest(self, words: np.ndarray):
-        """Write a chunk of sample words at the current cursor."""
+    def ingest_samples(self, adc_a, adc_b):
+        """The one ingest entry: homodyne (a) and phase-drive (b) ADC codes,
+        1-D integer arrays of one length, written at the cursor.  A code
+        outside int16 raises and writes nothing; one outside 14 bits sets
+        the ADC health flag."""
         if self._halted:
             raise RuntimeError("server is halted; RESUME before ingesting")
-        words = np.asarray(words, dtype=WORD_DTYPE)
-        samples = sample_view(words)
-        if words.size and (samples.min() < ADC_MIN
-                           or samples.max() > ADC_MAX):
-            self._adc_out_of_range = True
-        self.buffer.write(words)
-
-    def ingest_samples(self, adc_a, adc_b):
-        self.ingest(pack_words(adc_a, adc_b))
+        a, b = np.asarray(adc_a), np.asarray(adc_b)
+        if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+            raise TypeError("ADC samples must be integer arrays")
+        if a.ndim != 1 or a.shape != b.shape:
+            raise ValueError("ADC samples must be 1-D arrays of one length")
+        # one min and one max per half; 0 is in range, so empty input passes
+        lo = min(a.min(initial=0), b.min(initial=0))
+        hi = max(a.max(initial=0), b.max(initial=0))
+        if lo < _HALF_RANGE.min or hi > _HALF_RANGE.max:
+            raise ValueError("ADC sample outside int16")
+        self._adc_out_of_range |= bool(lo < ADC_MIN or hi > ADC_MAX)
+        self.buffer.write(a, b)
 
     def inject_fault(self, kind: str):
         """Test hook mirroring the FPGA health checks."""

@@ -2,9 +2,10 @@
 
 Each little-endian word carries two signed 14-bit ADC samples, sign-extended
 to int16: in its `(..., 2)` int16 view (`sample_view`) the homodyne sample is
-`[..., 1]` (the high half), the phase-drive sample `[..., 0]`.  The
-placeholder half 0x8000 (-32768) cannot arise from sign-extending any 14-bit
-value, so rejected samples are always distinguishable from data.
+`[..., 1]` (the high half), the phase-drive sample `[..., 0]`; ingest writes
+the halves through that view.  The placeholder half 0x8000 (-32768) cannot
+arise from sign-extending any 14-bit value, so rejected samples are always
+distinguishable from data.
 """
 
 from __future__ import annotations
@@ -27,19 +28,6 @@ def sample_view(words) -> np.ndarray:
     when that is a contiguous WORD_DTYPE array (other input is copied)."""
     w = np.ascontiguousarray(words, dtype=WORD_DTYPE)
     return w.view(HALF_DTYPE).reshape(np.shape(words) + (2,))
-
-
-def pack_words(adc_a, adc_b) -> np.ndarray:
-    """Pack homodyne (a) and phase-drive (b) samples into 32-bit words."""
-    a, b = (x if x.dtype.kind in "iu" else x.astype(np.int64)
-            for x in map(np.asarray, (adc_a, adc_b)))
-    for x, name in ((a, "homodyne"), (b, "phase-drive")):
-        if x.size and (x.min() < ADC_MIN or x.max() > ADC_MAX):
-            raise ValueError(f"{name} sample outside the 14-bit range")
-    words = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=WORD_DTYPE)
-    view = sample_view(words)
-    view[..., HOMODYNE], view[..., DRIVE] = a, b
-    return words
 
 
 def unpack_words(words):

@@ -394,6 +394,21 @@ HDS_OVERFLOW_MASK = (1 << 29) - 1
 HDS_PLACEHOLDER_WORD = 0x8000_8000
 
 
+def pack_words(adc_a, adc_b, bits=14):
+    """Reference word layout: the homodyne (a) sample in the high 16 bits,
+    the phase-drive (b) sample in the low 16, each sign-extended.  A
+    sample outside the signed `bits`-bit range raises; non-integer input
+    is truncated through int64."""
+    a, b = (x if x.dtype.kind in "iu" else x.astype(np.int64)
+            for x in map(np.asarray, (adc_a, adc_b)))
+    lim = 1 << bits - 1
+    for x, name in ((a, "homodyne"), (b, "phase-drive")):
+        if x.size and (x.min() < -lim or x.max() >= lim):
+            raise ValueError(f"{name} sample outside the {bits}-bit range")
+    a, b = np.broadcast_arrays(a.astype(np.int64), b.astype(np.int64))
+    return (((a & 0xFFFF) << 16) | (b & 0xFFFF)).astype(np.uint32)
+
+
 class HdsState(NamedTuple):
     """What a reply depends on: the physical storage and page table, the
     writer's cursor and overflow number, HALT, and the configuration."""

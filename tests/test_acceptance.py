@@ -19,6 +19,7 @@ from photonsub import harness as hx
 from photonsub.conformance import LoopbackSocketTransport, run_protocol_checks
 from photonsub.pso.centroid import TRIGGER_BINS, in_trigger_bins
 import golden_bundles
+import landscape
 from oracles import (centroid_bins, circuit_oracle,
                      closed_form_log_negativity, kraus_lossy_state,
                      naive_coefficient, naive_norm_sq, pure_ladder_amplitudes)
@@ -86,10 +87,10 @@ def test_criterion_1_closed_forms_vs_oracles():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_stellar_rank_landscape():
-    f0, l0 = ng.max_fidelity_over_lambda(eta=1.0, n=0)
-    f1, l1 = ng.max_fidelity_over_lambda(eta=1.0, n=1)
-    eta1 = ng.minimal_transmissivity(1)
-    eta2 = ng.minimal_transmissivity(2)
+    f0, l0 = landscape.max_fidelity_over_lambda(eta=1.0, n=0)
+    f1, l1 = landscape.max_fidelity_over_lambda(eta=1.0, n=1)
+    eta1 = landscape.minimal_transmissivity(1)
+    eta2 = landscape.minimal_transmissivity(2)
     ok = (abs(f0 - 0.25) < 1e-6 and abs(l0 - 0.70711) < 1e-4
           and abs(f1 - 0.342) < 0.002 and abs(l1 - 0.464) < 0.002
           and abs(eta1 - 0.83) < 0.01 and abs(eta2 - 0.77) < 0.01)

@@ -19,13 +19,17 @@ def test_every_export_resolves(module):
 
 
 def test_run_path_imports_no_scipy():
-    # scipy is left to the two landscape helpers of ng_metrics and to tests;
-    # a fresh interpreter that imports every package entry point loads none
-    code = ("import sys, photonsub, photonsub.harness, photonsub.hds, "
-            "photonsub.pso, photonsub.conformance, photonsub.cli; "
-            "print(sorted(m for m in sys.modules "
+    # scipy is left to the tests: a fresh interpreter that imports every
+    # module under src/photonsub loads none of it
+    code = ("import pkgutil, sys, photonsub; "
+            "mods = [m.name for m in pkgutil.walk_packages("
+            "photonsub.__path__, 'photonsub.')]; "
+            "[__import__(m) for m in mods]; "
+            "print(len(mods), sorted(m for m in sys.modules "
             "if m.partition('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC)))
-    assert out.stdout.strip() == "[]"
+    count, loaded = out.stdout.strip().split(" ", 1)
+    assert int(count) == len(list(SRC.glob("photonsub/**/*.py"))) - 1
+    assert loaded == "[]"

@@ -28,22 +28,22 @@ def make_server(pages=64, **cfg):
     return srv
 
 
-def fill_first_half(srv, pattern=None):
+def fill_first_half(srv, a=None, b=None):
+    """Ingest the first half's homodyne (a) and drive (b) samples, then one
+    word more so H0 seals; returns the words H0 holds."""
     half = srv.buffer.half
-    if pattern is None:
-        pattern = hds.pack_words(np.arange(half) % 8191,
-                                 (np.arange(half) * 7) % 8191)
-    srv.ingest(pattern)
+    if a is None:
+        a, b = np.arange(half) % 8191, (np.arange(half) * 7) % 8191
+    srv.ingest_samples(a, b)
     # push the cursor past the half boundary so H0 seals
-    srv.ingest(hds.pack_words([0], [0]))
-    return pattern
+    srv.ingest_samples([0], [0])
+    return oracles.pack_words(a, b)
 
 
-def noise_words(n, seed=0):
-    """n words of uniform 14-bit noise on both channels."""
+def noise_samples(n, seed=0):
+    """n samples of uniform 14-bit noise on each channel."""
     rng = np.random.default_rng(seed)
-    return hds.pack_words(rng.integers(-8192, 8192, n),
-                          rng.integers(-8192, 8192, n))
+    return rng.integers(-8192, 8192, (2, n))
 
 
 def oracle_state(srv):
@@ -56,7 +56,7 @@ def oracle_state(srv):
 
 class TestWords:
     def test_pack_unpack_known(self):
-        w = hds.pack_words([-8192, 0, 8191], [8191, -1, -8192])
+        w = oracles.pack_words([-8192, 0, 8191], [8191, -1, -8192])
         a, b = hds.unpack_words(w)
         np.testing.assert_array_equal(a, [-8192, 0, 8191])
         np.testing.assert_array_equal(b, [8191, -1, -8192])
@@ -68,7 +68,7 @@ class TestWords:
     @given(st.integers(-8192, 8191), st.integers(-8192, 8191))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, a, b):
-        w = hds.pack_words([a], [b])
+        w = oracles.pack_words([a], [b])
         aa, bb = hds.unpack_words(w)
         assert int(aa[0]) == a and int(bb[0]) == b
         assert not hds.is_placeholder(w)[0]
@@ -76,13 +76,13 @@ class TestWords:
     def test_placeholder_unreachable_by_sign_extension(self):
         # sweep the full 14-bit range: no packed word matches the marker
         vals = np.arange(-8192, 8192)
-        w = hds.pack_words(vals, np.zeros_like(vals))
+        w = oracles.pack_words(vals, np.zeros_like(vals))
         assert not hds.is_placeholder(w).any()
         assert hds.is_placeholder(np.array([hds.PLACEHOLDER_WORD]))[0]
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            hds.pack_words([8192], [0])
+            oracles.pack_words([8192], [0])
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.float64])
     def test_integer_and_float_input_pack_alike(self, dtype):
@@ -92,19 +92,21 @@ class TestWords:
         a = rng.integers(-8192, 8192, 5000)
         b = rng.integers(-8192, 8192, 5000)
         np.testing.assert_array_equal(
-            hds.pack_words(a.astype(dtype), b.astype(dtype)),
-            hds.pack_words(a.tolist(), b.tolist()))
+            oracles.pack_words(a.astype(dtype), b.astype(dtype)),
+            oracles.pack_words(a.tolist(), b.tolist()))
         for bad in (8192, -8193):
             with pytest.raises(ValueError, match="homodyne"):
-                hds.pack_words(np.array([0, bad], dtype), np.zeros(2, dtype))
+                oracles.pack_words(np.array([0, bad], dtype),
+                                   np.zeros(2, dtype))
             with pytest.raises(ValueError, match="phase-drive"):
-                hds.pack_words(np.zeros(2, dtype), np.array([bad, 0], dtype))
+                oracles.pack_words(np.zeros(2, dtype),
+                                   np.array([bad, 0], dtype))
 
     def test_non_integer_input_converts_to_int64(self):
         x = np.array([-8192.9, -1.5, 0.7, 8191.9])
         np.testing.assert_array_equal(
-            hds.pack_words(x, x[::-1]),
-            hds.pack_words(x.astype(np.int64), x[::-1].astype(np.int64)))
+            oracles.pack_words(x, x[::-1]),
+            oracles.pack_words(x.astype(np.int64), x[::-1].astype(np.int64)))
 
 
 class TestRingBuffer:
@@ -127,7 +129,8 @@ class TestRingBuffer:
     def test_wrap_overflow_count(self):
         srv = make_server(pages=2)
         cap = srv.buffer.capacity
-        srv.ingest(hds.pack_words(np.zeros(cap + 5), np.zeros(cap + 5)))
+        zeros = np.zeros(cap + 5, dtype=np.int16)
+        srv.ingest_samples(zeros, zeros)
         st = srv.status()
         assert st.overflow_number == 1
         assert st.current_timetag == 5
@@ -141,11 +144,11 @@ class TestRingBuffer:
         t = cursor
         # single words, page edges, several pages, then across the wrap
         for size in (1, 1023, 1024, 1025, 3 * 1024 + 5, buf.capacity - 100):
-            words = rng.integers(0, 2 ** 32, size, dtype=np.uint64) \
-                .astype(np.uint32)
+            a, b = rng.integers(-2 ** 15, 2 ** 15, (2, size), dtype=np.int16)
             tags = (t + np.arange(size)) % buf.capacity
-            ref[(buf.page_map[tags >> 10] << 10) | (tags & 1023)] = words
-            buf.write(words)
+            ref[(buf.page_map[tags >> 10] << 10) | (tags & 1023)] = \
+                oracles.pack_words(a, b, bits=16)
+            buf.write(a, b)
             t = (t + size) % buf.capacity
             np.testing.assert_array_equal(buf.data, ref)
             assert buf.write_cursor == t
@@ -156,8 +159,9 @@ class TestRingBuffer:
         buf = hds.RingBuffer(pages=128, page_map_seed=5)
         buf.reset(start_cursor=cursor)
         rng = np.random.default_rng(cursor)
-        buf.write(rng.integers(0, 2 ** 32, buf.capacity - cursor,
-                               dtype=np.uint64).astype(np.uint32))
+        buf.write(*hds.unpack_words(rng.integers(
+            0, 2 ** 32, buf.capacity - cursor, dtype=np.uint64)
+            .astype(np.uint32)))
         cap, half, block = buf.capacity, buf.half, SCAN_BLOCK_WORDS
         assert half % block == 0 and cap > 2 * block
         for lo, hi in ((0, 1), (0, 1024), (1023, 1025), (1000, 5000),
@@ -176,12 +180,14 @@ class TestRingBuffer:
     def test_overflow_mask_29_bits(self):
         buf = hds.RingBuffer(pages=2)
         buf.overflow_number = hds.OVERFLOW_MASK
-        buf.write(np.zeros(buf.capacity, dtype=np.uint32))
+        zeros = np.zeros(buf.capacity, dtype=np.int16)
+        buf.write(zeros, zeros)
         assert buf.overflow_number == 0
 
     def test_reset_takes_fresh_zeroed_storage(self):
         buf = hds.RingBuffer(pages=8)
-        buf.write(np.arange(1, buf.capacity // 2 + 1, dtype=np.uint32))
+        buf.write(*hds.unpack_words(
+            np.arange(1, buf.capacity // 2 + 1, dtype=np.uint32)))
         held = buf.read(np.arange(10))
         old = buf.data
         buf.reset(start_cursor=2)
@@ -207,18 +213,18 @@ class TestRingBuffer:
 _RESIDENCY_PROBE = """
 import resource
 import numpy as np
-from photonsub.hds import RingBuffer
+from photonsub.hds import RingBuffer, unpack_words
 
 def peak():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
-piece = np.arange(1 << 20, dtype=np.uint32)
+piece = unpack_words(np.arange(1 << 20, dtype=np.uint32))
 before = peak()
 buf = RingBuffer()
 
 def write_half():
-    for lo in range(0, buf.half, piece.size):
-        buf.write(piece[:buf.half - lo])
+    for lo in range(0, buf.half, piece[0].size):
+        buf.write(*(x[:buf.half - lo] for x in piece))
 
 write_half()
 buf.reset(1)
@@ -228,6 +234,69 @@ buf.reset(1)
 # after the growth is taken: on some kernels a read makes a page resident
 print(growth, buf.capacity, int(not buf.data.any()))
 """
+
+
+class TestIngest:
+    @given(cursor=st.integers(0, 4 * hds.PAGE_WORDS - 1),
+           n=st.integers(0, 12 * hds.PAGE_WORDS),
+           bounds=st.lists(st.integers(-2 ** 15, 2 ** 15 - 1), min_size=4,
+                           max_size=4),
+           dtype=st.sampled_from([np.int16, np.int64]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_ingest_matches_the_per_word_reference(self, cursor, n, bounds,
+                                                   dtype, seed):
+        # int16 halves from a random start cursor, past a wrap for larger
+        # n: the buffer holds the reference words and the flag says whether
+        # any half lies outside 14 bits
+        srv = make_server(pages=4)
+        buf = srv.buffer
+        buf.reset(start_cursor=cursor)
+        rng = np.random.default_rng(seed)
+        a, b = (rng.integers(min(lo, hi), max(lo, hi) + 1, n).astype(dtype)
+                for lo, hi in (bounds[:2], bounds[2:]))
+        srv.ingest_samples(a, b)
+        ref = np.zeros(buf.capacity, dtype=np.uint32)
+        last = slice(max(n - buf.capacity, 0), n)   # what a wrap left
+        tags = (cursor + np.arange(n)[last]) % buf.capacity
+        ref[(buf.page_map[tags >> 10] << 10) | (tags & 1023)] = \
+            oracles.pack_words(a[last], b[last], bits=16)
+        np.testing.assert_array_equal(buf.data, ref)
+        assert buf.write_cursor == (cursor + n) % buf.capacity
+        assert buf.overflow_number == (cursor + n) // buf.capacity
+        halves = np.concatenate([a, b])
+        assert srv.status().adc_out_of_range == bool(
+            np.any((halves < -8192) | (halves > 8191)))
+
+    def test_refused_input_changes_nothing(self):
+        # a float, unequal, multi-dimensional, scalar or out-of-int16 input,
+        # and any input to a halted server, raises and leaves the cursor,
+        # the overflow number, the page data and the flags as they were
+        srv = make_server(pages=4)
+        srv.ingest_samples(*noise_samples(5000))
+        cases = [
+            (TypeError, np.array([0.7, -1.9]), np.array([0, 0])),
+            (TypeError, [0, 0], [0.0, 1.0]),
+            (TypeError, np.array([True]), np.array([0])),
+            (ValueError, [0, 1], [0]),
+            (ValueError, np.zeros((2, 2), int), np.zeros((2, 2), int)),
+            (ValueError, np.int16(0), np.int16(0)),
+            (ValueError, [0, 2 ** 15], [0, 0]),
+            (ValueError, [0, 0], [-2 ** 15 - 1, 0]),
+            (ValueError, np.array([8191], np.uint16),
+             np.array([2 ** 16 - 1], np.uint16)),
+        ]
+        for error, a, b in cases:
+            data, status = srv.buffer.data.copy(), srv.status()
+            with pytest.raises(error):
+                srv.ingest_samples(a, b)
+            np.testing.assert_array_equal(srv.buffer.data, data)
+            assert srv.status() == status, (a, b)
+        srv.control("HALT")
+        status = srv.status()
+        with pytest.raises(RuntimeError, match="halted"):
+            srv.ingest_samples([0], [0])
+        assert srv.status() == status
 
 
 class TestQueries:
@@ -248,7 +317,7 @@ class TestQueries:
         srv = make_server(pages=64, integration_window=4)
         a = np.arange(srv.buffer.half) % 100
         b = np.full(srv.buffer.half, 3)
-        fill_first_half(srv, hds.pack_words(a, b))
+        fill_first_half(srv, a, b)
         out = srv.query_samples(0, np.array([10, 200]))
         aa, bb = hds.unpack_words(out)
         assert aa[0] == a[10:14].sum()
@@ -257,7 +326,7 @@ class TestQueries:
     def test_integration_saturates_and_flags(self):
         srv = make_server(pages=64, integration_window=8)
         a = np.full(srv.buffer.half, 8191)
-        fill_first_half(srv, hds.pack_words(a, np.zeros_like(a)))
+        fill_first_half(srv, a, np.zeros_like(a))
         out = srv.query_samples(0, np.array([0]))
         aa, _ = hds.unpack_words(out)
         assert aa[0] == 32767
@@ -267,8 +336,8 @@ class TestQueries:
         srv = make_server(pages=64)
         rng = np.random.default_rng(3)
         half = srv.buffer.half
-        fill_first_half(srv, hds.pack_words(rng.integers(-8192, 8192, half),
-                                            rng.integers(-8192, 8192, half)))
+        fill_first_half(srv, rng.integers(-8192, 8192, half),
+                        rng.integers(-8192, 8192, half))
         tags = rng.integers(0, half - 4, 500)
         for window in range(1, 5):
             assert srv.control(f"SET INTWIN {window}") == "OK"
@@ -289,8 +358,8 @@ class TestQueries:
                           slope_check=slope)
         rng = np.random.default_rng(window)
         half = srv.buffer.half
-        fill_first_half(srv, hds.pack_words(
-            *rng.choice([-8192, -8000, 8000, 8191], size=(2, half))))
+        fill_first_half(
+            srv, *rng.choice([-8192, -8000, 8000, 8191], size=(2, half)))
         tags = np.append(rng.integers(0, half - window + 1, 300), 0)
         state = oracle_state(srv)
         assert srv.query_samples(0, tags).tolist() == [
@@ -315,10 +384,10 @@ class TestQueries:
         srv = make_server(pages=4)
         cap = srv.buffer.capacity
         half = srv.buffer.half
-        epoch0 = hds.pack_words(np.full(cap, 100), np.zeros(cap))
-        srv.ingest(epoch0)                     # full wrap: overflow 1
-        srv.ingest(hds.pack_words(np.full(half, 200), np.zeros(half)))
-        srv.ingest(hds.pack_words([0], [0]))   # cursor just past half
+        zeros = np.zeros(cap, dtype=np.int16)
+        srv.ingest_samples(np.full(cap, 100), zeros)  # full wrap: overflow 1
+        srv.ingest_samples(np.full(half, 200), zeros[:half])
+        srv.ingest_samples([0], [0])           # cursor just past half
         # sealed half is H0 of the current epoch (value 200)
         out = srv.query_samples(1, np.arange(0, half, 97))
         aa, _ = hds.unpack_words(out)
@@ -353,7 +422,7 @@ class TestSlopeCheck:
         half = srv.buffer.half
         t = np.arange(half + 1)
         _, code, _ = drive.evaluate(t)
-        srv.ingest(hds.pack_words(np.zeros(t.size), code))
+        srv.ingest_samples(np.zeros_like(code), code)
         return srv, drive
 
     def test_placeholder_rate_point_one_percent(self):
@@ -382,10 +451,10 @@ class TestSlopeCheck:
         cap, half = srv.buffer.capacity, srv.buffer.half
         drive = np.zeros(cap, dtype=np.int64)
         drive[-1] = 8000
-        srv.ingest(hds.pack_words(np.zeros(cap), drive))       # epoch 0
+        srv.ingest_samples(np.zeros_like(drive), drive)        # epoch 0
         drive = np.zeros(half + 1, dtype=np.int64)
         drive[:3] = -8000, -8000, -8100
-        srv.ingest(hds.pack_words(np.zeros(half + 1), drive))  # epoch 1
+        srv.ingest_samples(np.zeros_like(drive), drive)        # epoch 1
         tags = np.arange(4)
         out = srv.query_samples(1, tags)
         np.testing.assert_array_equal(hds.is_placeholder(out),
@@ -401,7 +470,7 @@ class TestSlopeCheck:
         half, pm = srv.buffer.half, srv.buffer.page_map
         drive = np.arange(half) - half // 2         # rising: no flyback ...
         drive[3 * hds.PAGE_WORDS] = -8000           # ... but at one page start
-        fill_first_half(srv, hds.pack_words(np.zeros(half), drive))
+        fill_first_half(srv, np.zeros_like(drive), drive)
         starts = np.arange(hds.PAGE_WORDS, half, hds.PAGE_WORDS)
         out = srv.query_samples(0, starts)
         np.testing.assert_array_equal(starts[hds.is_placeholder(out)],
@@ -436,14 +505,14 @@ class TestThresholdScan:
         starts = 50 + np.arange(n_pulses) * period
         for s in starts:
             a[s:s + width] = amp
-        srv.ingest(hds.pack_words(a, np.zeros(half)))
-        srv.ingest(hds.pack_words([0], [0]))
+        srv.ingest_samples(a, np.zeros_like(a))
+        srv.ingest_samples([0], [0])
         return srv, starts
 
     def test_constant_below_threshold_empty(self):
         srv = make_server(pages=64, mode="threshold", threshold=2000)
-        fill_first_half(srv, hds.pack_words(np.full(srv.buffer.half, 100),
-                                            np.zeros(srv.buffer.half)))
+        fill_first_half(srv, np.full(srv.buffer.half, 100),
+                        np.zeros(srv.buffer.half, dtype=np.int64))
         out = srv.threshold_scan(0, 0, srv.buffer.half)
         assert out.size == 0
 
@@ -460,8 +529,8 @@ class TestThresholdScan:
         saw = np.abs(((np.arange(half) % period) - period / 2))
         a = (saw * 60 - 3000).astype(np.int64)
         np.clip(a, -8192, 8191, out=a)
-        srv.ingest(hds.pack_words(a, np.zeros(half)))
-        srv.ingest(hds.pack_words([0], [0]))
+        srv.ingest_samples(a, np.zeros_like(a))
+        srv.ingest_samples([0], [0])
         whole = (half // period) * period  # whole periods only
         rising = srv.threshold_scan(0, 0, whole)
         srv.config.slope_sign = -1
@@ -496,7 +565,7 @@ class TestThresholdScan:
         edges = np.array([1, block - 1, block + 1, 2 * block, half - 1])
         a = np.zeros(half, dtype=np.int64)
         a[edges] = 6000
-        fill_first_half(srv, hds.pack_words(a, np.zeros(half)))
+        fill_first_half(srv, a, np.zeros_like(a))
         for start in (0, block // 2, block):
             np.testing.assert_array_equal(srv.threshold_scan(0, start, half),
                                           edges[edges > start])
@@ -568,7 +637,7 @@ class TestProtocol:
 
         def lapping_read(*args):
             # the writer fills one more half between the verdict and the read
-            srv.ingest(hds.pack_words(np.full(half, 77), np.zeros(half)))
+            srv.ingest_samples(np.full(half, 77), np.zeros(half, np.int64))
             return original(*args)
 
         setattr(srv.buffer, name, lapping_read)
@@ -593,7 +662,8 @@ class TestProtocol:
         def lapping_read(tags):
             calls.append(tags.size)
             if len(calls) == lapped_read:
-                srv.ingest(hds.pack_words(np.full(half, 77), np.zeros(half)))
+                srv.ingest_samples(np.full(half, 77),
+                                   np.zeros(half, np.int64))
             return read(tags)
 
         srv.buffer.read = lapping_read
@@ -612,7 +682,7 @@ class TestProtocol:
         # the writer before the first wrap, at and past a half boundary
         srv = make_server(pages=4, slope_check=True)
         half, cap = srv.buffer.half, srv.buffer.capacity
-        srv.ingest(noise_words(halves * half + extra))
+        srv.ingest_samples(*noise_samples(halves * half + extra))
         if halted:
             srv.control("HALT")
         cursor = srv.buffer.write_cursor
@@ -653,9 +723,9 @@ class TestProtocol:
         # the status, echo and payload the tag-by-tag oracle derives
         srv = make_server(pages=16, mode=mode, integration_window=window,
                           slope_check=slope)
-        fill_first_half(srv, noise_words(srv.buffer.half))
+        fill_first_half(srv, *noise_samples(srv.buffer.half))
         if lapped:      # epoch 1 below the cursor, epoch 0 above it
-            srv.ingest(noise_words(srv.buffer.capacity, seed=1))
+            srv.ingest_samples(*noise_samples(srv.buffer.capacity, seed=1))
         if halted:
             srv.control("HALT")
         state = oracle_state(srv)
@@ -819,7 +889,7 @@ class TestControlPlane:
     @settings(max_examples=300, deadline=None)
     def test_control_fuzz_one_reply(self, verb, key, args):
         srv = make_server(pages=16)
-        fill_first_half(srv, noise_words(srv.buffer.half))
+        fill_first_half(srv, *noise_samples(srv.buffer.half))
         reply = srv.control(" ".join([verb, key, *args]))
         assert isinstance(reply, str)
         assert srv.control("STATUS").startswith("OVF ")
@@ -1031,7 +1101,7 @@ class TestMoreProtocolEdges:
         # shape (), with slope checking on or off
         srv = make_server(pages=4, integration_window=window,
                           slope_check=slope)
-        fill_first_half(srv, noise_words(srv.buffer.half))
+        fill_first_half(srv, *noise_samples(srv.buffer.half))
         for tag in range(40):
             got = srv.query_samples(0, tag)
             assert np.shape(got) == ()
@@ -1041,16 +1111,18 @@ class TestMoreProtocolEdges:
         # 8192 and -8193 in the homodyne half, then in the drive half
         for word in (0x2000_0000, 0xDFFF_0000, 0x0000_2000, 0x0000_DFFF):
             srv = make_server(pages=2)
-            srv.ingest(np.array([word], dtype=np.uint32))
+            srv.ingest_samples(
+                *hds.unpack_words(np.array([word], dtype=np.uint32)))
             assert srv.status().adc_out_of_range, hex(word)
         srv = make_server(pages=2)
-        srv.ingest(hds.pack_words([-8192, 8191, -8192, 8191],
-                                  [-8192, 8191, 8191, -8192]))
+        srv.ingest_samples([-8192, 8191, -8192, 8191],
+                           [-8192, 8191, 8191, -8192])
         assert not srv.status().adc_out_of_range
 
     def test_adc_range_fault_from_crafted_word(self):
         srv = make_server(pages=64)
-        srv.ingest(np.array([hds.PLACEHOLDER_WORD], dtype=np.uint32))
+        srv.ingest_samples(
+            *hds.unpack_words(np.array([hds.PLACEHOLDER_WORD], np.uint32)))
         assert srv.status().adc_out_of_range
         fill_first_half(srv)
         with pytest.raises(hds.IntegrityError):
@@ -1138,7 +1210,8 @@ class TestConcurrentReaders:
         def writer():
             for _ in range(20):
                 chunk = min(2048, half // 20)
-                srv.ingest(hds.pack_words(np.zeros(chunk), np.zeros(chunk)))
+                zeros = np.zeros(chunk, dtype=np.int16)
+                srv.ingest_samples(zeros, zeros)
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
         threads.append(threading.Thread(target=writer))
@@ -1147,3 +1220,51 @@ class TestConcurrentReaders:
         for t in threads:
             t.join()
         assert not errors
+
+    def test_reads_while_the_writer_laps_are_whole_or_stale(self):
+        # the writer laps again and again in 2,048-word chunks, one half
+        # each, writing codes (h, -h) into half number h; readers query
+        # whichever half is sealed when they look, so the writer laps into
+        # the half they read.  A reply is that half's words or
+        # STALE_OVERFLOW, never a word whose ADC columns (written in two
+        # passes) come from different laps
+        import collections
+        import threading
+        srv = make_server(pages=4)
+        half = srv.buffer.half
+        replies, wrong, done = collections.Counter(), [], threading.Event()
+
+        def reader():
+            conn = hds.ConnectionState()
+            rng = np.random.default_rng(threading.get_ident() % 2**32)
+            while not done.is_set():
+                st = srv.status()
+                upper = st.current_timetag >= half
+                if not (upper or st.overflow_number):
+                    continue                    # nothing sealed yet
+                ovf = st.overflow_number - (not upper)
+                h = 2 * ovf + (not upper)
+                lo = (not upper) * half
+                tags = lo + np.sort(rng.integers(0, half, 1024))
+                status, _, payload = proto.decode_response(srv.handle_request(
+                    proto.encode_query(ovf, tags), conn))
+                replies[status] += 1
+                if status is proto.Status.OK and np.any(
+                        payload != oracles.pack_words(h, -h)):
+                    wrong.append(h)
+
+        def writer():
+            for h in range(1200):
+                codes = np.full(half, h, dtype=np.int16)
+                srv.ingest_samples(codes, -codes)
+            done.set()
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=writer))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not wrong
+        assert replies[proto.Status.OK] > 0
+        assert set(replies) <= {proto.Status.OK, proto.Status.STALE_OVERFLOW}

@@ -7,6 +7,7 @@ from scipy.linalg import sqrtm
 
 from photonsub import fock_core as fc
 from photonsub import ng_metrics as ng
+import landscape
 from oracles import closed_form_log_negativity
 
 NOMINAL_00 = fc.SubtractionModel(r=0.3, R1=0.14, R2=0.14, eta1=0.55, eta2=0.50)
@@ -138,12 +139,12 @@ class TestClosedFormLogNegativity:
 
 class TestFock11Closed:
     def test_max_f00_quarter(self):
-        fmax, lam_star = ng.max_fidelity_over_lambda(eta=1.0, n=0)
+        fmax, lam_star = landscape.max_fidelity_over_lambda(eta=1.0, n=0)
         assert fmax == pytest.approx(0.25, abs=1e-9)
         assert lam_star == pytest.approx(1 / sqrt(2), abs=1e-4)
 
     def test_max_f11(self):
-        fmax, lam_star = ng.max_fidelity_over_lambda(eta=1.0, n=1)
+        fmax, lam_star = landscape.max_fidelity_over_lambda(eta=1.0, n=1)
         assert fmax == pytest.approx(8 / 27 * (316 - 119 * sqrt(7)), abs=1e-9)
         assert lam_star == pytest.approx(sqrt((sqrt(7) - 2) / 3), abs=1e-4)
 
@@ -171,11 +172,13 @@ class TestFock11Closed:
             ng.fock11_fidelity_closed(0.3, 1.0, 3)
 
     def test_minimal_transmissivities(self):
-        assert ng.minimal_transmissivity(1) == pytest.approx(0.83, abs=0.01)
-        assert ng.minimal_transmissivity(2) == pytest.approx(0.77, abs=0.01)
+        assert landscape.minimal_transmissivity(1) == pytest.approx(
+            0.83, abs=0.01)
+        assert landscape.minimal_transmissivity(2) == pytest.approx(
+            0.77, abs=0.01)
 
     def test_lambda_crossings(self):
-        lo, hi = ng.witness_lambda_crossings(eta=1.0, n=1)
+        lo, hi = landscape.witness_lambda_crossings(eta=1.0, n=1)
         assert lo == pytest.approx(0.30, abs=0.005)
         assert hi == pytest.approx(0.63, abs=0.005)
 

@@ -511,8 +511,7 @@ def _loopback_setup(tmp_path, pages=64, **cfg_kwargs):
         srv.start_run()
         half = srv.buffer.half
         a = (np.arange(half + 1) * (seed + 1)) % 8000
-        b = np.zeros(half + 1)
-        srv.ingest(hds.pack_words(a, b))
+        srv.ingest_samples(a, np.zeros_like(a))
         servers.append(srv)
         clients.append(hds.HdsClient(hds.InProcessTransport(srv)))
     console = pso.PsoConsole(pso.PsoRunConfig(**cfg_kwargs))
@@ -565,8 +564,8 @@ class TestEngine:
         assert engine._pending.size == 1
         # fill the second half so it seals, then the event processes
         for srv in servers:
-            a = np.zeros(half)
-            srv.ingest(hds.pack_words(a, a))
+            a = np.zeros(half, dtype=np.int16)
+            srv.ingest_samples(a, a)
         engine.process_sealed_half(1, np.array([]), np.array([]),
                                    zero_span=(half + 100, half + 200))
         assert engine._pending.size == 0
